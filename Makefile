@@ -102,13 +102,16 @@ sweep-smoke:
 
 # chaos-smoke is the CI guard for crash-safe sweeps. It runs the kill -9
 # chaos harness plus the cancellation/retry/multi-process-write tests
-# under the race detector, then drives a real professbench sweep:
+# under the race detector, and the expired-lease takeover race 300 times
+# (exactly one of eight claimants may win), then drives a real
+# professbench sweep:
 # interrupted with SIGINT mid-execute (must drain and exit 130, or 0 if
 # it finished first) and resumed to completion against the same cache
 # directory. The gate: the cache directory ends with zero lease files,
 # zero takeover temporaries and zero atomic-write temp files.
 chaos-smoke:
 	$(GO) test -race -count=1 -run 'TestChaos|TestExecuteCancelLeavesResumableJournal|TestExecuteRetriesTransientFailures|TestExecuteExhaustsAttempts|TestDiskCacheMultiProcessWrites|TestDiskCacheSweepsTmpOrphans' .
+	$(GO) test -race -count=300 -run 'TestExpiredTakeoverRace' ./internal/lease
 	$(GO) build -o bin/professbench ./cmd/professbench
 	rm -rf bin/chaoscache && mkdir -p bin/chaoscache
 	timeout --preserve-status -s INT 2 bin/professbench -exp fig10 -instr 3000000 -workloads w09 \
@@ -122,17 +125,20 @@ chaos-smoke:
 		find bin/chaoscache \( -name '*.lease' -o -name '*.lease.reap-*' -o -name '.tmp-*' \); exit 1; fi; \
 	echo "chaos smoke: no leaked lease or temp files"
 
-# shard-smoke is the CI guard for the sharded event engine. Under the
-# race detector it runs the epoch-barrier engine tests, the fixed-seed
-# shard-count sweep (byte-identical Result JSON and telemetry for shards
-# 1/2/4/8) and the run-cache shard invariance; then a real professim
-# scale16 run at 1 and 8 shards (cache off, so both simulate) must print
-# byte-identical JSON. The zero-allocation overflow-migration guard rides
-# along without -race (the race runtime allocates on its own).
+# shard-smoke is the CI guard for the clustered runner (each cluster run on
+# its own, then to the fleet stop cycle, on -shards worker goroutines).
+# Under the race detector it runs the Scale16 goldens, the cluster
+# independence contract (every cluster matches its standalone run), the
+# fixed-seed worker-count sweep (byte-identical Result JSON and telemetry
+# for shards 1/2/4/8), arena reuse of the cluster machines and the
+# run-cache shard invariance; then a real professim scale16 run at 1 and
+# 8 shards (cache off, so both simulate) must print byte-identical JSON.
+# The zero-allocation overflow-migration guard rides along without -race
+# (the race runtime allocates on its own).
 shard-smoke:
-	$(GO) test -race -count=1 -run 'TestShardGroup|TestZeroAllocMigrationDrain' ./internal/event
+	$(GO) test -race -count=1 -run 'TestZeroAllocMigrationDrain' ./internal/event
 	$(GO) test -race -count=1 -timeout 30m \
-		-run 'TestShardCountSweepByteIdentical|TestClusteredResultShape|TestClusterSliceDerivation' ./internal/sim
+		-run 'TestGoldenScale16|TestClusterIndependence|TestShardCountSweepByteIdentical|TestClusteredResultShape|TestClusterSliceDerivation|TestArenaClusteredReuse' ./internal/sim
 	$(GO) test -race -count=1 -run 'TestRunCacheShardInvariant' .
 	$(GO) test -count=1 -run 'TestZeroAlloc' ./internal/event
 	$(GO) build -o bin/professim ./cmd/professim

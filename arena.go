@@ -44,7 +44,7 @@ func withWorkerArena(ctx context.Context) context.Context {
 	return context.WithValue(ctx, arenaCtxKey{}, new(sim.SystemArena))
 }
 
-// arenaPool serves callers outside a sweep (RunProgram, parallelFor
+// arenaPool serves callers outside a sweep (RunProgram, par.For
 // drivers): each concurrent simulation checks out an exclusive arena and
 // returns it afterwards, so repeated same-shape runs on one goroutine
 // still reuse a machine while the GC remains free to reclaim idle ones.

@@ -125,9 +125,9 @@ func experiments(sampleFr float64, sampleWin int64) []experiment {
 		{"xval", "analytic fast tier vs cycle model: IPC/M1/lifetime cross-validation", true, func(opts profess.ExpOptions) (fmt.Stringer, error) {
 			return profess.RunCrossValidation(profess.Schemes(), opts)
 		}},
-		// scale16 times real runs (and re-verifies shard determinism), so
+		// scale16 times real runs (and re-verifies worker-count determinism), so
 		// it must not be served from the cache: unplannable by design.
-		{"scale16", "shard scaling curve on the 16-program fleet (timing-honest; ignores -shards and sweeps 1,2,4,8)", false, func(opts profess.ExpOptions) (fmt.Stringer, error) {
+		{"scale16", "worker-count scaling curve of the clustered runner on the 16-program fleet (timing-honest; ignores -shards and sweeps 1,2,4,8)", false, func(opts profess.ExpOptions) (fmt.Stringer, error) {
 			return profess.RunScale16(profess.SchemeProFess, nil, opts)
 		}},
 		// sample times real runs too (full vs sampled, both uncached):

@@ -47,7 +47,7 @@ func main() {
 		twr      = flag.Float64("twr", 1, "M2 write-recovery latency factor")
 		baseline = flag.Bool("baselines", true, "for workloads: run stand-alone baselines and report slowdowns")
 		preset   = flag.String("preset", "", "run a named preset fleet instead of -program/-workload (scale16: sixteen programs on eight clusters)")
-		shards   = flag.Int("shards", 0, "worker goroutines for clustered presets (0 or 1 = single-threaded verification mode; pure speed knob, results are byte-identical at any value)")
+		shards   = flag.Int("shards", 0, "worker goroutines that run the clusters of clustered presets (0 or 1 = one; pure speed knob, results are byte-identical at any value)")
 		threads  = flag.Int("threads", 1, "for -program: run it multi-threaded (§3.1.1)")
 		faults   = flag.String("faults", "", "fault-injection plan: key=value,... (seed, nvmread, nvmwrite, stall, stallcycles, qac, sf) or the shorthand rate=<p>")
 		telePath = flag.String("telemetry", "", "export per-epoch telemetry to this file (.csv for CSV, JSONL otherwise; a .manifest.json rides along)")

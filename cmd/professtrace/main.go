@@ -35,7 +35,6 @@ func main() {
 		scale   = flag.Float64("scale", profess.PaperScale, "capacity scale")
 		tele    = flag.String("telemetry", "", "for -replay: export per-epoch telemetry to this file (.csv for CSV, JSONL otherwise; a .manifest.json rides along)")
 		epoch   = flag.Int64("epoch", 10_000, "telemetry epoch length in CPU cycles (with -telemetry)")
-		shards  = flag.Int("shards", 0, "for -replay: worker goroutines on clustered configs (inert on the single-core replay system; kept for flag parity)")
 		noarena = flag.Bool("noarena", false, "disable simulation-state arena reuse for -replay (fresh machine per run; byte-identical either way)")
 	)
 	flag.Parse()
@@ -53,7 +52,7 @@ func main() {
 	case *stats != "":
 		doStats(*stats)
 	case *replay != "":
-		doReplay(*replay, *scheme, *instr, *scale, *tele, *epoch, *shards)
+		doReplay(*replay, *scheme, *instr, *scale, *tele, *epoch)
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -112,11 +111,10 @@ func doStats(path string) {
 	fmt.Printf("  2-KB blocks touched  %d (max refs to one block: %d)\n", len(blocks), maxReuse)
 }
 
-func doReplay(path, scheme string, instr int64, scale float64, tele string, epoch int64, shards int) {
+func doReplay(path, scheme string, instr int64, scale float64, tele string, epoch int64) {
 	rp := load(path)
 	cfg := profess.SingleCoreConfig(scale)
 	cfg.Instructions = instr
-	cfg.Shards = shards
 	if tele != "" {
 		cfg.TelemetryEvery = epoch
 	}

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"profess/internal/par"
 )
 
 // tinyExp keeps driver smoke tests fast: two programs, one workload,
@@ -276,9 +278,11 @@ func TestExpOptionsDefaults(t *testing.T) {
 	}
 }
 
+// The TestParallelFor* tests cover par.For, the pool every experiment
+// driver fans its cells out on.
 func TestParallelFor(t *testing.T) {
 	var sum [100]int
-	err := parallelFor(context.Background(), 100, 8, func(i int) error {
+	err := par.For(context.Background(), 100, 8, func(i int) error {
 		sum[i] = i
 		return nil
 	})
@@ -293,7 +297,7 @@ func TestParallelFor(t *testing.T) {
 	// Errors propagate without abandoning the remaining items (a nil
 	// context is the background context).
 	calls := 0
-	err = parallelFor(nil, 10, 1, func(i int) error {
+	err = par.For(nil, 10, 1, func(i int) error {
 		calls++
 		if i == 3 {
 			return errBoom
@@ -306,13 +310,13 @@ func TestParallelFor(t *testing.T) {
 	if calls != 10 {
 		t.Errorf("every item should still run after an error, ran %d", calls)
 	}
-	if parallelFor(context.Background(), 0, 4, func(int) error { return errBoom }) != nil {
+	if par.For(context.Background(), 0, 4, func(int) error { return errBoom }) != nil {
 		t.Error("zero jobs should be a no-op")
 	}
 }
 
 func TestParallelForMultiError(t *testing.T) {
-	err := parallelFor(context.Background(), 6, 3, func(i int) error {
+	err := par.For(context.Background(), 6, 3, func(i int) error {
 		if i%2 == 1 {
 			return errString(string(rune('a' + i)))
 		}
@@ -330,7 +334,7 @@ func TestParallelForMultiError(t *testing.T) {
 
 func TestParallelForPanicRecovery(t *testing.T) {
 	ran := make([]bool, 8)
-	err := parallelFor(context.Background(), 8, 4, func(i int) error {
+	err := par.For(context.Background(), 8, 4, func(i int) error {
 		if i == 2 {
 			panic("kaboom")
 		}
@@ -353,7 +357,7 @@ func TestParallelForPanicRecovery(t *testing.T) {
 func TestParallelForCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
-	err := parallelFor(ctx, 100, 1, func(i int) error {
+	err := par.For(ctx, 100, 1, func(i int) error {
 		calls++
 		if i == 4 {
 			cancel()

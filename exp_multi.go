@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 
+	"profess/internal/par"
 	"profess/internal/stats"
 )
 
@@ -72,7 +73,7 @@ func RunMultiProgram(schemes []Scheme, opts ExpOptions) (*MultiProgramReport, er
 				}
 			}
 		}
-		err := parallelFor(opts.ctx(), len(baseJobs), opts.Parallelism, func(i int) error {
+		err := par.For(opts.ctx(), len(baseJobs), opts.Parallelism, func(i int) error {
 			_, err := cache.AloneIPCContext(opts.ctx(), baseJobs[i].prog, baseJobs[i].scheme, cfg)
 			return err
 		})
@@ -94,7 +95,7 @@ func RunMultiProgram(schemes []Scheme, opts ExpOptions) (*MultiProgramReport, er
 	cells := make([]MultiProgramCell, len(jobs))
 	var mu sync.Mutex
 	runCells := func() error {
-		return parallelFor(opts.ctx(), len(jobs), opts.Parallelism, func(i int) error {
+		return par.For(opts.ctx(), len(jobs), opts.Parallelism, func(i int) error {
 			mu.Lock()
 			done := cells[i].Workload != ""
 			mu.Unlock()
@@ -311,7 +312,7 @@ func RunMemPodComparison(opts ExpOptions) (*AMMATReport, error) {
 	for _, wl := range wls {
 		jobs = append(jobs, cellKey{wl, SchemePoM}, cellKey{wl, SchemeMemPod})
 	}
-	err = parallelFor(opts.ctx(), len(jobs), opts.Parallelism, func(i int) error {
+	err = par.For(opts.ctx(), len(jobs), opts.Parallelism, func(i int) error {
 		res, err := RunMixContext(opts.ctx(), jobs[i].wl, jobs[i].scheme, cfg)
 		if err != nil {
 			return err

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"profess/internal/par"
 	"profess/internal/sim"
 	"profess/internal/stats"
 	"profess/internal/workload"
@@ -84,7 +85,7 @@ func RunSampleValidation(fraction float64, window int64, schemes []Scheme, opts 
 		}
 	}
 	rows := make([]SampleValRow, len(jobs))
-	err := parallelFor(opts.ctx(), len(jobs), opts.Parallelism, func(i int) error {
+	err := par.For(opts.ctx(), len(jobs), opts.Parallelism, func(i int) error {
 		w, err := workload.WorkloadByName(jobs[i].wl)
 		if err != nil {
 			return err

@@ -26,8 +26,8 @@ type Scale16Point struct {
 	Identical bool
 }
 
-// Scale16Report is the scaling curve of the sharded event engine on the
-// sixteen-program, eight-cluster Scale16 configuration.
+// Scale16Report is the worker-count scaling curve of the clustered runner
+// on the sixteen-program, eight-cluster Scale16 configuration.
 type Scale16Report struct {
 	Scheme Scheme
 	// GoMaxProcs records the host parallelism the wall times were

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"profess/internal/core"
+	"profess/internal/par"
 	"profess/internal/sim"
 	"profess/internal/stats"
 )
@@ -49,7 +50,7 @@ func RunSinglePrograms(schemes []Scheme, opts ExpOptions) (*SingleProgramReport,
 		}
 	}
 	rows := make([]SingleProgramRow, len(jobs))
-	err := parallelFor(opts.ctx(), len(jobs), opts.Parallelism, func(i int) error {
+	err := par.For(opts.ctx(), len(jobs), opts.Parallelism, func(i int) error {
 		var ipcs []float64
 		row := SingleProgramRow{Program: jobs[i].prog, Scheme: jobs[i].scheme}
 		base, err := sim.SpecForProgram(jobs[i].prog, cfg.Scale)
@@ -187,7 +188,7 @@ func RunSTCSensitivity(opts ExpOptions) (*STCSensitivityReport, error) {
 		}
 	}
 	rows := make([]STCSensitivityRow, len(jobs))
-	err := parallelFor(opts.ctx(), len(jobs), opts.Parallelism, func(i int) error {
+	err := par.For(opts.ctx(), len(jobs), opts.Parallelism, func(i int) error {
 		c := cfg
 		c.STCEntries = jobs[i].size
 		res, err := RunProgramContext(opts.ctx(), jobs[i].prog, SchemeMDM, c)
@@ -270,7 +271,7 @@ func RunSamplingAccuracy(opts ExpOptions) (*SamplingAccuracyReport, error) {
 		}
 	}
 	cells := make([]SamplingAccuracyCell, len(jobs))
-	err := parallelFor(opts.ctx(), len(jobs), opts.Parallelism, func(i int) error {
+	err := par.For(opts.ctx(), len(jobs), opts.Parallelism, func(i int) error {
 		spec, err := sim.SpecForProgram(jobs[i].prog, cfg.Scale)
 		if err != nil {
 			return err
@@ -395,7 +396,7 @@ func mdmVsPoMPoint(name string, opts ExpOptions, mod func(Config) Config) (Sensi
 		jobs = append(jobs, job{p, SchemePoM}, job{p, SchemeMDM})
 	}
 	ipcs := make([]float64, len(jobs))
-	err := parallelFor(opts.ctx(), len(jobs), opts.Parallelism, func(i int) error {
+	err := par.For(opts.ctx(), len(jobs), opts.Parallelism, func(i int) error {
 		res, err := RunProgramContext(opts.ctx(), jobs[i].prog, jobs[i].scheme, cfg)
 		if err != nil {
 			return err

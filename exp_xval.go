@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"profess/internal/analytic"
+	"profess/internal/par"
 	"profess/internal/sim"
 	"profess/internal/stats"
 )
@@ -75,7 +76,7 @@ func RunCrossValidation(schemes []Scheme, opts ExpOptions) (*XValReport, error) 
 		}
 	}
 	rows := make([]XValRow, len(jobs))
-	err := parallelFor(opts.ctx(), len(jobs), opts.Parallelism, func(i int) error {
+	err := par.For(opts.ctx(), len(jobs), opts.Parallelism, func(i int) error {
 		spec, err := sim.SpecForProgram(jobs[i].prog, cfg.Scale)
 		if err != nil {
 			return err

@@ -404,21 +404,6 @@ func (q *Queue) NextAt() (int64, bool) {
 	return q.overflow[0].at, true
 }
 
-// RunBefore pumps every event strictly before the horizon cycle and
-// returns the final time. Events at or after the horizon stay pending, so
-// a caller advancing the horizon in fixed quanta replays exactly the
-// sequence a single Drain would: this is the per-shard inner loop of the
-// epoch-barrier runner.
-func (q *Queue) RunBefore(horizon int64) int64 {
-	for {
-		t, ok := q.NextAt()
-		if !ok || t >= horizon {
-			return q.now
-		}
-		q.Step()
-	}
-}
-
 // RunUntil pumps events until the calendar empties or the given predicate
 // returns true (checked after every event). It returns the final time.
 func (q *Queue) RunUntil(stop func() bool) int64 {

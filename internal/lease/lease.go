@@ -8,9 +8,10 @@
 //     sweep. A lease carries its owner id and plan hash; the owner's
 //     manager refreshes the file's mtime on a heartbeat, and a lease
 //     whose mtime is older than the TTL belongs to a presumed-dead owner
-//     and may be taken over. Takeover goes through rename (only one
-//     claimant's rename of the stale file can succeed), so two processes
-//     can never both "clean up" a stale lease and both claim the cell.
+//     and may be taken over. Takeover checks, removes and re-creates the
+//     stale file as one step under an exclusive flock(2) on the lease
+//     directory, so two processes can never both "clean up" a stale
+//     lease and both claim the cell. flock makes the package Unix-only.
 //
 //   - A journal: an append-only JSONL file per sweep recording
 //     claimed/done/failed cell transitions keyed by run key. Every
@@ -37,6 +38,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 )
 
@@ -172,61 +174,79 @@ func (m *Manager) path(key string) string {
 }
 
 // Acquire claims the cell, returning ErrHeld while another live owner
-// holds it. A claim whose heartbeat has expired is taken over: the stale
-// file is renamed aside (at most one claimant's rename succeeds) and the
-// winner re-creates the lease; the returned lease then reports Stolen.
+// holds it. A claim whose heartbeat has expired is taken over (see
+// takeover); the returned lease then reports Stolen.
 func (m *Manager) Acquire(key string) (*Lease, error) {
 	path := m.path(key)
+	l, err := m.create(key, path, false)
+	if errors.Is(err, fs.ErrExist) {
+		return m.takeover(key, path)
+	}
+	return l, err
+}
+
+// create claims the cell by creating its lease file with O_EXCL. The
+// error wraps fs.ErrExist when the file is already there.
+func (m *Manager) create(key, path string, stolen bool) (*Lease, error) {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("lease: create %s: %w", path, err)
+	}
+	payload, merr := json.Marshal(info{Owner: m.owner, Plan: m.plan, Start: time.Now().UTC()})
+	if merr == nil {
+		_, merr = f.Write(append(payload, '\n'))
+	}
+	if cerr := f.Close(); merr == nil {
+		merr = cerr
+	}
+	if merr != nil {
+		os.Remove(path)
+		return nil, fmt.Errorf("lease: write %s: %w", path, merr)
+	}
+	l := &Lease{m: m, key: key, path: path, stolen: stolen}
+	m.mu.Lock()
+	m.held[key] = l
+	m.mu.Unlock()
+	return l, nil
+}
+
+// takeover claims a cell whose lease file existed at create time. The
+// check, the removal of an expired file and the create run as one step
+// under an exclusive flock on the lease directory, so of several
+// claimants that saw the same expired file exactly one wins, and none
+// can remove a lease another claimant has just created. The kernel
+// drops the lock when the descriptor closes or the claimant dies, and
+// the lock leaves no file behind.
+func (m *Manager) takeover(key, path string) (*Lease, error) {
+	dir, err := os.Open(m.dir)
+	if err != nil {
+		return nil, fmt.Errorf("lease: lock %s: %w", m.dir, err)
+	}
+	defer dir.Close()
+	if err := syscall.Flock(int(dir.Fd()), syscall.LOCK_EX); err != nil {
+		return nil, fmt.Errorf("lease: lock %s: %w", m.dir, err)
+	}
 	stolen := false
-	// Two creation attempts: the first against the existing state, the
-	// second after this process reaped an expired claim. Losing both
-	// means a live competitor; report ErrHeld and let the caller defer
-	// the cell.
-	for attempt := 0; attempt < 2; attempt++ {
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-		if err == nil {
-			payload, merr := json.Marshal(info{Owner: m.owner, Plan: m.plan, Start: time.Now().UTC()})
-			if merr == nil {
-				_, merr = f.Write(append(payload, '\n'))
-			}
-			if cerr := f.Close(); merr == nil {
-				merr = cerr
-			}
-			if merr != nil {
-				os.Remove(path)
-				return nil, fmt.Errorf("lease: write %s: %w", path, merr)
-			}
-			l := &Lease{m: m, key: key, path: path, stolen: stolen}
-			m.mu.Lock()
-			m.held[key] = l
-			m.mu.Unlock()
-			return l, nil
+	st, err := os.Stat(path)
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+		// The holder released since create: claim the cell afresh.
+	case err != nil:
+		return nil, fmt.Errorf("lease: takeover %s: %w", path, err)
+	case time.Since(st.ModTime()) <= m.ttl:
+		return nil, ErrHeld
+	default:
+		if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return nil, fmt.Errorf("lease: takeover %s: %w", path, err)
 		}
-		if !errors.Is(err, fs.ErrExist) {
-			return nil, fmt.Errorf("lease: create %s: %w", path, err)
-		}
-		st, serr := os.Stat(path)
-		if serr != nil {
-			// Vanished between create and stat: the holder released.
-			// Retry the create.
-			continue
-		}
-		if time.Since(st.ModTime()) <= m.ttl {
-			return nil, ErrHeld
-		}
-		// Expired: reap through rename so only one claimant wins the
-		// takeover even if several observe the expiry simultaneously.
-		reap := path + ".reap-" + hex.EncodeToString([]byte(m.owner))[:12]
-		if rerr := os.Rename(path, reap); rerr != nil {
-			if errors.Is(rerr, fs.ErrNotExist) {
-				continue // someone else reaped or released; retry create
-			}
-			return nil, fmt.Errorf("lease: takeover %s: %w", path, rerr)
-		}
-		os.Remove(reap)
 		stolen = true
 	}
-	return nil, ErrHeld
+	l, err := m.create(key, path, stolen)
+	if errors.Is(err, fs.ErrExist) {
+		// A fresh claimant, which takes no lock, got there first.
+		return nil, ErrHeld
+	}
+	return l, err
 }
 
 // heartbeat refreshes the mtime of every held lease until Close.
@@ -340,8 +360,9 @@ func (m *Manager) Holder(key string) string {
 }
 
 // SweepExpired removes lease files whose heartbeat is older than ttl and
-// orphaned takeover (".reap-") temporaries, returning how many files it
-// removed. It is safe to run concurrently with live workers: a live
+// orphaned ".reap-" temporaries (which takeovers by rename, in older
+// versions of this package, left behind when killed), returning how many
+// files it removed. It is safe to run concurrently with live workers: a live
 // owner's heartbeat keeps its leases younger than any sane ttl, and a
 // removed-but-live lease only costs a duplicated (idempotent) cell.
 func SweepExpired(dir string, ttl time.Duration) int {

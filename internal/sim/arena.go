@@ -23,15 +23,15 @@ import (
 // cell, then its single-core alone-IPC baselines, then the next cell),
 // and a single-machine cache would rebuild on every alternation. Beyond
 // arenaMaxMachines shapes the least-recently-used machine is dropped.
-// Clustered configurations (Clusters > 1) bypass the arena entirely and
-// run on the sharded engine as before.
+// Clustered configurations (Clusters > 1) keep their per-cluster machines
+// in a separate fleet cache (see clusterMachine).
 //
 // Correctness contract: a reused machine must be byte-identical to a
 // fresh one — same Result JSON, same telemetry stream. Every component
 // Reset (event wheel, channels, controller, STCs, allocator, L3,
 // histograms) restores exactly the state its constructor builds, and the
 // differential arena-vs-fresh test pins the end-to-end guarantee the
-// same way the shard-count sweep pins the sharded engine's.
+// same way the shard-count sweep pins the clustered runner's.
 type SystemArena struct {
 	machines []arenaMachine
 	tick     int64
@@ -104,7 +104,7 @@ func shapeFor(cfg Config, numSpecs int) arenaShape {
 
 // RunContext runs one simulation through the arena: a shape hit resets
 // the cached machine in place, a miss (or a nil arena) builds fresh.
-// Clustered configurations run on the sharded engine with the arena
+// Clustered configurations run through runClustered with the arena
 // supplying (and keeping) the per-cluster machines.
 func (a *SystemArena) RunContext(ctx context.Context, cfg Config, specs []ProgramSpec, scheme Scheme) (*Result, error) {
 	if a == nil {
@@ -159,7 +159,7 @@ func (a *SystemArena) RunContext(ctx context.Context, cfg Config, specs []Progra
 // clusterMachine returns the machine for cluster k of an n-cluster fleet:
 // a reset of the cached one when the fleet shape matches, a fresh build
 // otherwise. A nil arena always builds fresh. runClustered calls it for
-// k = 0..n-1 in order on one goroutine, before any shard worker starts.
+// k = 0..n-1 in order on one goroutine, before any worker starts.
 func (a *SystemArena) clusterMachine(k, n int, cfg Config, specs []ProgramSpec, policy hybrid.Policy) (*System, error) {
 	if a == nil {
 		return NewSystem(cfg, specs, policy)

@@ -3,77 +3,90 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 
-	"profess/internal/event"
 	"profess/internal/mem"
+	"profess/internal/par"
 	"profess/internal/telemetry"
 )
 
 // Clustered execution: a Config with Clusters > 1 describes a fleet of
 // independent sub-machines ("sockets"), each a full System — cores, L3
-// slice, controller, channels, policy — on its own timing wheel. The
-// wheels advance in lockstep epochs on the event package's shard engine,
-// with cross-cluster traffic (the completion broadcast below) travelling
-// through epoch mailboxes in canonical order.
+// slice, controller, channels, policy — on its own timing wheel. Clusters
+// share no simulated state and exchange no messages, so a fleet is one
+// independent run per cluster plus a merge, and the clusters run on
+// Config.Shards worker goroutines with byte-identical results at any
+// worker count.
 //
-// Why clusters and not per-channel shards of one machine: inside a
+// Why clusters and not per-channel pieces of one machine: inside a
 // machine the front-end and its channels are coupled at zero latency —
 // Controller.serve enqueues into a channel at the current cycle, and a
-// completing request resumes its core synchronously — so the conservative
-// lookahead between them is zero and any split would either deadlock or
-// change results. A cluster is the unit that owns all of its zero-latency
-// couplings, so shard = cluster is the finest decomposition for which
-// parallel execution is byte-identical to the single-threaded order. On
-// the Scale16 configuration each cluster owns exactly one channel, which
-// makes the shards per-channel wheels with their slice of the front end.
+// completing request resumes its core synchronously — so the pieces of
+// one machine cannot run apart. A cluster owns all of its zero-latency
+// couplings, so it is the finest unit that runs on its own. On the
+// Scale16 configuration each cluster owns exactly one channel.
+//
+// The run has two phases, each one parallel pass over the clusters:
+//
+//   - Phase one runs every cluster until all its programs have completed
+//     once, or until it freezes at MaxCycles.
+//   - Phase two runs every cluster that did not freeze up to the fleet
+//     stop cycle (fleetStop), so the clusters' counters cover a common
+//     span of simulated time; a cluster that finished early keeps its
+//     programs repeating, as a single machine does (§4.2).
 
-// clusterEpochCycles is the epoch quantum: clusters synchronize every
-// this many cycles. Cross-cluster messages target at least the current
-// epoch horizon, so the effective lookahead is unbounded and the quantum
-// trades barrier frequency against stop-detection granularity only — one
-// wheel rotation keeps both negligible.
-const clusterEpochCycles = 8192
+// clusterStopQuantum is the granularity of the fleet stop cycle. Results,
+// goldens and run-cache entries of clustered runs all depend on it.
+const clusterStopQuantum = 8192
 
-// clusterDone is the payload of the completion broadcast: cluster's
-// programs all finished their first run at the given cycle.
-type clusterDone struct {
-	cluster int
-	cycle   int64
-}
-
-// fleetMonitor lives on cluster 0's wheel and records completion
-// broadcasts in their canonical delivery order.
-type fleetMonitor struct {
-	order []*clusterDone
-}
-
-func (m *fleetMonitor) HandleEvent(now int64, _ int64, p any) {
-	m.order = append(m.order, p.(*clusterDone))
+// fleetStop returns the exclusive cycle bound of phase two: one grace
+// quantum after the quantum in which the last cluster's phase one ended.
+func fleetStop(states []*clusterState) int64 {
+	var last int64
+	for _, st := range states {
+		last = max(last, st.sys.Queue.Now())
+	}
+	return (last/clusterStopQuantum + 2) * clusterStopQuantum
 }
 
 // clusterState is the runner's per-cluster bookkeeping.
 type clusterState struct {
 	sys       *System
 	remaining *int
-	shardTel  *telemetry.Sampler
-
-	doneAt   int64 // cycle every program first completed (0 = not yet)
-	frozen   bool  // stopped stepping (MaxCycles reached)
-	timedOut bool
-	sendErr  error
-
-	events  int64 // events dispatched, also the telemetry counter source
-	lastNow int64
-	stale   int
+	doneAt    int64 // cycle every program first completed (0 = not yet)
+	frozen    bool  // stopped stepping (MaxCycles reached)
+	wd        watchdog
 }
 
-// runClustered executes a Clusters > 1 configuration on the shard engine.
-// Results are a deterministic merge of the per-cluster results and are
-// byte-identical for every Shards value. A non-nil arena supplies (and
-// keeps) the per-cluster machines: cluster construction happens on this
-// goroutine before the shard workers start and the workers all join
-// before this function returns, so arena custody never overlaps a
-// running fleet.
+// run steps the cluster's events before the cycle bound, stopping early
+// once doneAt is set when untilDone is true. Like the single-machine loop
+// it runs the first event at or past MaxCycles and then freezes.
+func (st *clusterState) run(k int, bound int64, untilDone bool) error {
+	q := st.sys.Queue
+	maxCycles := st.sys.Cfg.MaxCycles
+	for !st.frozen && !(untilDone && st.doneAt != 0) {
+		t, ok := q.NextAt()
+		if !ok || t >= bound {
+			return nil
+		}
+		q.Step()
+		if maxCycles > 0 && q.Now() >= maxCycles {
+			st.frozen = true
+		} else if st.wd.due() {
+			if err := st.wd.check(q.Now()); err != nil {
+				return fmt.Errorf("sim: cluster %d: %w", k, err)
+			}
+		}
+	}
+	return nil
+}
+
+// runClustered executes a Clusters > 1 configuration. Results are a
+// deterministic merge of the per-cluster results and are byte-identical
+// for every Shards value. A non-nil arena supplies (and keeps) the
+// per-cluster machines: cluster construction happens on this goroutine
+// before the workers start and the workers all join before this function
+// returns, so arena custody never overlaps a running fleet.
 func runClustered(ctx context.Context, cfg Config, specs []ProgramSpec, scheme Scheme, arena *SystemArena) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -85,131 +98,40 @@ func runClustered(ctx context.Context, cfg Config, specs []ProgramSpec, scheme S
 	per := len(specs) / n
 
 	states := make([]*clusterState, n)
-	queues := make([]*event.Queue, n)
-	for k := 0; k < n; k++ {
-		sub := cfg.clusterSlice(k)
+	for k := range states {
 		policy, err := NewPolicy(scheme, per, cfg.Scale)
 		if err != nil {
 			return nil, err
 		}
-		sys, err := arena.clusterMachine(k, n, sub, specs[k*per:(k+1)*per], policy)
+		sys, err := arena.clusterMachine(k, n, cfg.clusterSlice(k), specs[k*per:(k+1)*per], policy)
 		if err != nil {
 			return nil, fmt.Errorf("sim: cluster %d: %w", k, err)
 		}
-		st := &clusterState{sys: sys, lastNow: -1}
-		if sub.TelemetryEvery > 0 {
-			// A second, cluster-local sampler carries the shard engine's
-			// occupancy series. Its values are pure simulation state
-			// (events dispatched, queue depth), so clustered telemetry
-			// stays byte-identical across worker counts; wall-clock stall
-			// time lives in ShardGroup.Stats, outside the Result.
-			tel, err := telemetry.New(telemetry.Config{Every: sub.TelemetryEvery, Capacity: sub.TelemetryCapacity})
-			if err != nil {
-				return nil, err
-			}
-			tel.Counter("shard.events", func() int64 { return st.events })
-			tel.Gauge("shard.pending", func(int64) float64 { return float64(sys.Queue.Len()) })
-			tel.Start(sys.Queue)
-			st.shardTel = tel
-		}
+		st := &clusterState{sys: sys, wd: newWatchdog(ctx)}
+		st.remaining = sys.startCores(func(now int64) { st.doneAt = now })
 		states[k] = st
-		queues[k] = sys.Queue
 	}
 
-	group, err := event.NewShardGroup(queues, clusterEpochCycles)
-	if err != nil {
-		return nil, err
+	workers := max(cfg.Shards, 1)
+	err := par.For(ctx, n, workers, func(k int) error { return states[k].run(k, math.MaxInt64, true) })
+	if err == nil {
+		stop := fleetStop(states)
+		err = par.For(ctx, n, workers, func(k int) error { return states[k].run(k, stop, false) })
 	}
-	monitor := &fleetMonitor{}
-	for k, st := range states {
-		k, st := k, st
-		st.remaining = st.sys.startCores(func(now int64) {
-			st.doneAt = now
-			// Broadcast the completion to the fleet monitor on cluster 0:
-			// the one cross-cluster message class of this topology. It
-			// targets the current epoch horizon — the minimum cycle the
-			// conservative protocol admits.
-			if err := group.Send(k, 0, group.Horizon(), monitor, 0, &clusterDone{cluster: k, cycle: now}); err != nil && st.sendErr == nil {
-				st.sendErr = err
-			}
-		})
-	}
-
-	step := func(k int, horizon int64) error {
-		st := states[k]
-		if st.frozen {
-			return nil
-		}
-		q := st.sys.Queue
-		for {
-			t, ok := q.NextAt()
-			if !ok || t >= horizon {
-				return nil
-			}
-			q.Step()
-			st.events++
-			if st.sendErr != nil {
-				return st.sendErr
-			}
-			if cfg.MaxCycles > 0 && q.Now() >= cfg.MaxCycles {
-				st.frozen = true
-				st.timedOut = *st.remaining > 0
-				return nil
-			}
-			if st.events%watchdogCheckEvents == 0 {
-				if err := ctx.Err(); err != nil {
-					return fmt.Errorf("sim: cluster %d aborted at cycle %d: %w", k, q.Now(), err)
-				}
-				if now := q.Now(); now == st.lastNow {
-					st.stale++
-					if st.stale >= watchdogStaleChecks {
-						return fmt.Errorf("sim: cluster %d: no progress: %d events without advancing past cycle %d",
-							k, int64(st.stale)*watchdogCheckEvents, now)
-					}
-				} else {
-					st.lastNow = now
-					st.stale = 0
-				}
-			}
-		}
-	}
-
-	// The barrier stops one epoch after every cluster has either completed
-	// its first runs or frozen at MaxCycles: completion broadcasts sent in
-	// the deciding epoch are delivered at its barrier and execute in the
-	// grace epoch, so the monitor's record is complete before the stop.
-	stopArmed := false
-	barrier := func(horizon int64) (bool, error) {
-		if err := ctx.Err(); err != nil {
-			return false, fmt.Errorf("sim: aborted at cycle %d: %w", horizon, err)
-		}
-		if stopArmed {
-			return true, nil
-		}
-		for _, st := range states {
-			if st.doneAt == 0 && !st.frozen {
-				return false, nil
-			}
-		}
-		stopArmed = true
-		return false, nil
-	}
-
-	runErr := group.Run(cfg.Shards, step, barrier)
 	for _, st := range states {
 		for _, c := range st.sys.Cores {
 			c.Stop()
 		}
 	}
-	if runErr != nil {
-		return nil, runErr
+	if err != nil {
+		return nil, err
 	}
-	return mergeClustered(cfg, states, monitor)
+	return mergeClustered(cfg, states)
 }
 
 // mergeClustered folds the per-cluster results into one Result in cluster
 // order — a pure function of deterministic inputs.
-func mergeClustered(cfg Config, states []*clusterState, monitor *fleetMonitor) (*Result, error) {
+func mergeClustered(cfg Config, states []*clusterState) (*Result, error) {
 	merged := &Result{ClusterDone: make([]int64, len(states))}
 	var (
 		stcHits, stcMisses int64
@@ -218,7 +140,7 @@ func mergeClustered(cfg Config, states []*clusterState, monitor *fleetMonitor) (
 		telParts           []telemetry.MergePart
 	)
 	for k, st := range states {
-		res, err := st.sys.gather(st.timedOut)
+		res, err := st.sys.gather(st.frozen && *st.remaining > 0)
 		if err != nil {
 			return nil, fmt.Errorf("sim: cluster %d: %w", k, err)
 		}
@@ -241,18 +163,8 @@ func mergeClustered(cfg Config, states []*clusterState, monitor *fleetMonitor) (
 		l3Misses += st.sys.L3.Misses
 		chans = append(chans, st.sys.Ctl.Channels()...)
 		if res.Telemetry != nil {
-			st.shardTel.Finish(res.Cycles)
-			telParts = append(telParts,
-				telemetry.MergePart{Prefix: fmt.Sprintf("c%d.", k), S: res.Telemetry},
-				telemetry.MergePart{Prefix: fmt.Sprintf("c%d.", k), S: st.shardTel})
+			telParts = append(telParts, telemetry.MergePart{Prefix: fmt.Sprintf("c%d.", k), S: res.Telemetry})
 		}
-	}
-	// Completion broadcasts carry the authoritative completion cycles;
-	// they can only be missing when the monitor's own cluster froze at
-	// MaxCycles before the grace epoch, where the state-side fallback
-	// above already holds the same value.
-	for _, d := range monitor.order {
-		merged.ClusterDone[d.cluster] = d.cycle
 	}
 	if t := stcHits + stcMisses; t > 0 {
 		merged.STCHitRate = float64(stcHits) / float64(t)

@@ -73,9 +73,9 @@ func TestShardCountSweepByteIdentical(t *testing.T) {
 }
 
 // TestClusteredResultShape pins the clustered-only surfaces: per-cluster
-// completion broadcasts land in ClusterDone, every cluster contributes its
+// completion cycles land in ClusterDone, every cluster contributes its
 // programs in spec order, and the merged telemetry carries the per-cluster
-// prefixes including the shard occupancy series.
+// prefixes.
 func TestClusteredResultShape(t *testing.T) {
 	cfg, specs := scale16TestConfig(t, 20_000)
 	cfg.TelemetryEvery = 20_000
@@ -100,7 +100,7 @@ func TestClusteredResultShape(t *testing.T) {
 		}
 	}
 	names := strings.Join(res.Telemetry.Names(), ",")
-	for _, want := range []string{"c0.p0.mcf.ipc", "c0.shard.events", "c7.shard.pending", "c7.chan0.m2_demand"} {
+	for _, want := range []string{"c0.p0.mcf.ipc", "c7.chan0.m2_demand"} {
 		if !strings.Contains(names, want) {
 			t.Errorf("merged telemetry lacks %q (have %s)", want, names)
 		}
@@ -131,8 +131,8 @@ func TestClusteredMaxCycles(t *testing.T) {
 	if !res.TimedOut {
 		t.Error("5M-instruction fleet finished within 40K cycles?")
 	}
-	if res.Cycles > cfg.MaxCycles+clusterEpochCycles {
-		t.Errorf("frozen run reports %d cycles, beyond MaxCycles %d + one epoch", res.Cycles, cfg.MaxCycles)
+	if res.Cycles > cfg.MaxCycles+clusterStopQuantum {
+		t.Errorf("frozen run reports %d cycles, beyond MaxCycles %d + one stop quantum", res.Cycles, cfg.MaxCycles)
 	}
 
 	bad := Scale16Config(PaperScale)
@@ -173,5 +173,59 @@ func TestClusterSliceDerivation(t *testing.T) {
 			t.Fatalf("cluster %d reuses another cluster's seed", k)
 		}
 		seeds[sub.Seed] = true
+	}
+}
+
+// TestClusterIndependence pins the property the clustered runner rests on:
+// a cluster inside a fleet runs exactly as the same cluster run on its own.
+// Every cluster's completion cycle equals its standalone run's Cycles, and
+// on fleets cut short by MaxCycles every cluster that timed out matches its
+// standalone run program for program.
+func TestClusterIndependence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	cfg, specs := scale16TestConfig(t, 60_000)
+	per := len(specs) / cfg.Clusters
+	standalone := func(c Config, k int) *Result {
+		t.Helper()
+		res, err := Run(c.clusterSlice(k), specs[k*per:(k+1)*per], SchemeProFess)
+		if err != nil {
+			t.Fatalf("cluster %d standalone: %v", k, err)
+		}
+		return res
+	}
+	fleet, err := Run(cfg, specs, SchemeProFess)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, done := range fleet.ClusterDone {
+		if want := standalone(cfg, k).Cycles; done != want {
+			t.Errorf("cluster %d completed at %d in the fleet, %d on its own", k, done, want)
+		}
+	}
+	for _, maxCycles := range []int64{131_071, 237_568, 950_272, 1_368_063} {
+		c := cfg
+		c.MaxCycles = maxCycles
+		fleet, err := Run(c, specs, SchemeProFess)
+		if err != nil {
+			t.Fatal(err)
+		}
+		timedOut := 0
+		for k, done := range fleet.ClusterDone {
+			if done != 0 {
+				continue
+			}
+			timedOut++
+			got, _ := json.Marshal(fleet.PerCore[k*per : (k+1)*per])
+			want, _ := json.Marshal(standalone(c, k).PerCore)
+			if !bytes.Equal(got, want) {
+				t.Errorf("MaxCycles %d: timed-out cluster %d diverged from its standalone run\n got: %s\nwant: %s",
+					maxCycles, k, got, want)
+			}
+		}
+		if timedOut == 0 {
+			t.Errorf("MaxCycles %d timed out no cluster", maxCycles)
+		}
 	}
 }

@@ -33,16 +33,15 @@ type Config struct {
 	// Clusters partitions the machine into that many independent
 	// sub-machines ("sockets"): each cluster owns Cores/Clusters cores, its
 	// own L3 slice, controller, Channels/Clusters channels, policy instance
-	// and timing wheel, and the clusters advance in lockstep epochs (see
-	// internal/event's shard engine). 0 or 1 is the classic single machine.
+	// and timing wheel, and runs on its own up to the fleet stop cycle (see
+	// cluster.go). 0 or 1 is the classic single machine.
 	// Clusters is a semantic knob — it changes the simulated topology and
 	// therefore the results — so it participates in run-cache keys.
 	Clusters int
-	// Shards caps the worker goroutines driving the cluster wheels of a
-	// clustered run. It is a pure speed knob: results are byte-identical
-	// for every value, including 1 (the single-threaded verification mode,
-	// also the default). Ignored when Clusters <= 1; excluded from
-	// run-cache keys.
+	// Shards is the number of worker goroutines that run the clusters of a
+	// clustered run (0 or 1 = one). It is a pure speed knob: results are
+	// byte-identical for every value. Ignored when Clusters <= 1; excluded
+	// from run-cache keys.
 	Shards int
 
 	CoreCfg cpu.Config
@@ -265,7 +264,7 @@ func (c Config) Validate() error {
 	}
 	if c.SamplingOn() {
 		if c.Clusters > 1 {
-			return fmt.Errorf("sim: interval sampling (fraction %v) cannot run on a clustered machine (%d clusters): the epoch-barrier engine has no fast-forward mode — drop Clusters or SampleFraction", c.SampleFraction, c.Clusters)
+			return fmt.Errorf("sim: interval sampling (fraction %v) cannot run on a clustered machine (%d clusters): the clustered runner has no fast-forward mode — drop Clusters or SampleFraction", c.SampleFraction, c.Clusters)
 		}
 		if c.TelemetryEvery > 0 {
 			return fmt.Errorf("sim: interval sampling (fraction %v) cannot run with telemetry (epoch %d): epochs inside fast-forward spans would sample half-advanced state — drop TelemetryEvery or SampleFraction", c.SampleFraction, c.TelemetryEvery)

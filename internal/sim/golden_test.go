@@ -2,20 +2,23 @@ package sim
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"profess/internal/fault"
 )
 
-// -update rewrites the committed golden telemetry traces from the current
-// build:
+// -update rewrites the committed goldens under testdata/golden from the
+// current build:
 //
-//	go test ./internal/sim -run TestGoldenTelemetry -update
+//	go test ./internal/sim -run 'TestGoldenTelemetry|TestGoldenScale16' -update
 //
 // Inspect the diff before committing — a golden change means the
 // simulation's observable behaviour changed.
-var update = flag.Bool("update", false, "rewrite testdata/golden telemetry traces")
+var update = flag.Bool("update", false, "rewrite the testdata/golden files")
 
 // goldenConfig is the fixed scenario behind the golden traces: a
 // fixed-seed two-program mix (mcf's irregular pointer chasing competing
@@ -77,26 +80,32 @@ func TestGoldenTelemetry(t *testing.T) {
 				t.Fatal("two in-process runs produced different telemetry exports")
 			}
 
-			path := filepath.Join("testdata", "golden", string(scheme)+".jsonl")
-			if *update {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				t.Logf("updated %s (%d bytes)", path, len(got))
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("%v (run with -update to create the golden trace)", err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("telemetry diverged from %s\n got %d bytes, want %d bytes\nfirst differing line: %s\nrerun with -update and inspect the diff if the change is intended",
-					path, len(got), len(want), firstDiffLine(got, want))
-			}
+			matchGolden(t, filepath.Join("testdata", "golden", string(scheme)+".jsonl"), got)
 		})
+	}
+}
+
+// matchGolden compares an export with its committed golden file, or
+// rewrites the file under -update.
+func matchGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("updated %s (%d bytes)", path, len(got))
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create the golden)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s diverged from the golden\n got %d bytes, want %d bytes\nfirst differing line: %s\nrerun with -update and inspect the diff if the change is intended",
+			path, len(got), len(want), firstDiffLine(got, want))
 	}
 }
 
@@ -113,4 +122,60 @@ func firstDiffLine(got, want []byte) string {
 		return "(extra trailing lines in got)"
 	}
 	return "(extra trailing lines in want)"
+}
+
+// TestGoldenScale16 regression-tests the clustered runner end to end on
+// the 16-program fleet at 60k instructions: under every scheme, ProFess
+// under a fault plan, and ProFess with telemetry at two workers. Each
+// scenario's Result JSON, and the merged telemetry of the telemetry one,
+// must match testdata/golden/scale16/<name>.json(l) byte for byte. Update
+// with -update like TestGoldenTelemetry.
+func TestGoldenScale16(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	cfg, specs := scale16TestConfig(t, 60_000)
+	type goldenCase struct {
+		name   string
+		scheme Scheme
+		cfg    Config
+	}
+	var cases []goldenCase
+	for _, scheme := range AllSchemes() {
+		cases = append(cases, goldenCase{string(scheme), scheme, cfg})
+	}
+	faulty := cfg
+	plan, err := fault.ParsePlan("rate=1e-3,sf=0.2,seed=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulty.Faults = plan
+	tele := cfg
+	tele.TelemetryEvery = 25_000
+	tele.Shards = 2
+	cases = append(cases, goldenCase{"profess-faults", SchemeProFess, faulty}, goldenCase{"profess-telemetry", SchemeProFess, tele})
+
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := Run(tc.cfg, specs, tc.scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			js, err := json.MarshalIndent(res, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			files := map[string][]byte{tc.name + ".json": append(js, '\n')}
+			if res.Telemetry != nil {
+				var buf bytes.Buffer
+				if err := res.Telemetry.WriteJSONL(&buf); err != nil {
+					t.Fatal(err)
+				}
+				files[tc.name+".jsonl"] = buf.Bytes()
+			}
+			for file, got := range files {
+				matchGolden(t, filepath.Join("testdata", "golden", "scale16", file), got)
+			}
+		})
+	}
 }

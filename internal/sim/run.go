@@ -148,9 +148,8 @@ type Result struct {
 	// NVM reports M2 write wear and the lifetime projected from it.
 	NVM NVMWear
 	// ClusterDone, for clustered runs (Config.Clusters > 1), holds the
-	// cycle at which each cluster's programs first completed, as recorded
-	// by the cross-shard completion broadcast (0 = timed out first).
-	// Empty for classic single-machine runs.
+	// cycle at which each cluster's programs first completed (0 = timed
+	// out first). Empty for classic single-machine runs.
 	ClusterDone []int64 `json:",omitempty"`
 	// Telemetry holds the per-epoch sampler when Config.TelemetryEvery > 0;
 	// nil otherwise. Excluded from the JSON summary — export it separately
@@ -403,14 +402,56 @@ func (s *System) wireTelemetry() error {
 	return nil
 }
 
-// watchdogCheckEvents is how often (in processed events) RunContext polls
-// the context and the no-progress watchdog; watchdogStaleChecks is how
-// many consecutive checks may observe a frozen clock before the run is
-// declared wedged (~1M events at the same cycle).
+// watchdogCheckEvents is how often (in processed events) the run loops
+// poll the context and the no-progress watchdog; a power of two, so the
+// per-event test is a mask. watchdogStaleChecks is how many consecutive
+// checks may observe a frozen clock before the run is declared wedged
+// (~1M events at the same cycle).
 const (
-	watchdogCheckEvents = 16384
+	watchdogCheckEvents = 1 << 14
 	watchdogStaleChecks = 64
 )
+
+// watchdog is the cancellation poll and no-progress detector of the run
+// loops (full, sampled and clustered): a simulation that burns events
+// without ever advancing the clock (a bug or a pathological fault plan) is
+// aborted with an error instead of spinning forever. A loop calls due once
+// per event — an increment and a mask test once inlined — and check when
+// due reports true.
+type watchdog struct {
+	ctx     context.Context
+	events  int64
+	lastNow int64
+	stale   int
+}
+
+func newWatchdog(ctx context.Context) watchdog {
+	return watchdog{ctx: ctx, lastNow: -1}
+}
+
+// due counts one event and reports whether check is due.
+func (w *watchdog) due() bool {
+	w.events++
+	return w.events&(watchdogCheckEvents-1) == 0
+}
+
+// check polls the context and the clock. The error names the cycle; the
+// caller prefixes where the run was.
+func (w *watchdog) check(now int64) error {
+	if err := w.ctx.Err(); err != nil {
+		return fmt.Errorf("aborted at cycle %d: %w", now, err)
+	}
+	if now != w.lastNow {
+		w.lastNow, w.stale = now, 0
+		return nil
+	}
+	w.stale++
+	if w.stale >= watchdogStaleChecks {
+		return fmt.Errorf("no progress: %d events without advancing past cycle %d",
+			int64(w.stale)*watchdogCheckEvents, now)
+	}
+	return nil
+}
 
 // Run executes until every program completed its first run (repeating
 // faster programs to keep competition alive, per §4.2), then gathers the
@@ -418,22 +459,16 @@ const (
 func (s *System) Run() (*Result, error) { return s.RunContext(context.Background()) }
 
 // RunContext is Run honouring the context's deadline/cancellation, both
-// checked periodically inside the event loop, plus a no-progress watchdog:
-// a simulation that burns events without ever advancing the clock (a bug
-// or a pathological fault plan) is aborted with an error instead of
-// spinning forever.
+// checked periodically inside the event loop, plus the no-progress
+// watchdog.
 func (s *System) RunContext(ctx context.Context) (*Result, error) {
 	if s.Cfg.SamplingOn() {
 		return s.runSampled(ctx)
 	}
 	remaining := s.startCores(nil)
 	timedOut := false
-	var (
-		events  int64
-		lastNow int64 = -1
-		stale   int
-		runErr  error
-	)
+	wd := newWatchdog(ctx)
+	var runErr error
 	s.Queue.RunUntil(func() bool {
 		if *remaining <= 0 {
 			return true
@@ -442,22 +477,10 @@ func (s *System) RunContext(ctx context.Context) (*Result, error) {
 			timedOut = true
 			return true
 		}
-		events++
-		if events%watchdogCheckEvents == 0 {
-			if err := ctx.Err(); err != nil {
-				runErr = fmt.Errorf("sim: aborted at cycle %d: %w", s.Queue.Now(), err)
+		if wd.due() {
+			if err := wd.check(s.Queue.Now()); err != nil {
+				runErr = fmt.Errorf("sim: %w", err)
 				return true
-			}
-			if now := s.Queue.Now(); now == lastNow {
-				stale++
-				if stale >= watchdogStaleChecks {
-					runErr = fmt.Errorf("sim: no progress: %d events without advancing past cycle %d",
-						int64(stale)*watchdogCheckEvents, now)
-					return true
-				}
-			} else {
-				lastNow = now
-				stale = 0
 			}
 		}
 		return false
@@ -474,8 +497,8 @@ func (s *System) RunContext(ctx context.Context) (*Result, error) {
 // startCores arms every core with the first-completion bookkeeping and
 // returns a counter that reaches zero once every program has completed its
 // first run. onAllDone, when non-nil, fires at that moment with the
-// completing cycle — the hook the clustered runner uses to publish a
-// cluster's completion across shards.
+// completing cycle — the hook the clustered runner records a cluster's
+// completion with.
 func (s *System) startCores(onAllDone func(now int64)) *int {
 	threadsLeft := make([]int, len(s.specs))
 	for _, p := range s.coreProg {
@@ -594,9 +617,9 @@ func Run(cfg Config, specs []ProgramSpec, scheme Scheme) (*Result, error) {
 }
 
 // RunContext builds and runs a system in one call, honouring the context.
-// A configuration with Clusters > 1 runs on the sharded engine — one
-// timing wheel per cluster, Config.Shards worker goroutines — and is
-// byte-identical for every shard count.
+// A configuration with Clusters > 1 runs each cluster on its own timing
+// wheel, on Config.Shards worker goroutines, and is byte-identical for
+// every worker count.
 func RunContext(ctx context.Context, cfg Config, specs []ProgramSpec, scheme Scheme) (*Result, error) {
 	if cfg.Clusters > 1 {
 		return runClustered(ctx, cfg, specs, scheme, nil)

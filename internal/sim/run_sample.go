@@ -77,10 +77,8 @@ func (s *System) runSampled(ctx context.Context) (*Result, error) {
 	var (
 		timedOut bool
 		runErr   error
-		events   int64
-		lastNow  int64 = -1
-		stale    int
 	)
+	wd := newWatchdog(ctx)
 	instrAt := func(out []int64) {
 		for i := range out {
 			out[i] = 0
@@ -136,22 +134,10 @@ func (s *System) runSampled(ctx context.Context) (*Result, error) {
 					return false
 				}
 				s.Queue.Step()
-				events++
-				if events%watchdogCheckEvents == 0 {
-					if err := ctx.Err(); err != nil {
-						runErr = fmt.Errorf("sim: aborted at cycle %d: %w", s.Queue.Now(), err)
+				if wd.due() {
+					if err := wd.check(s.Queue.Now()); err != nil {
+						runErr = fmt.Errorf("sim: %w", err)
 						return false
-					}
-					if now := s.Queue.Now(); now == lastNow {
-						stale++
-						if stale >= watchdogStaleChecks {
-							runErr = fmt.Errorf("sim: no progress: %d events without advancing past cycle %d",
-								int64(stale)*watchdogCheckEvents, now)
-							return false
-						}
-					} else {
-						lastNow = now
-						stale = 0
 					}
 				}
 			}

@@ -106,9 +106,9 @@ func SingleCoreConfig(scale float64) Config { return sim.SingleCoreConfig(scale)
 func MultiCoreConfig(scale float64) Config { return sim.MultiCoreConfig(scale) }
 
 // Scale16Config returns the sixteen-program, eight-channel "datacenter
-// node" scaling configuration: eight independent clusters on the sharded
-// event engine. Set Config.Shards to choose the worker count — a pure
-// speed knob with byte-identical results.
+// node" scaling configuration: eight independent clusters, each run on its
+// own timing wheel. Set Config.Shards to choose how many worker goroutines
+// run them — a pure speed knob with byte-identical results.
 func Scale16Config(scale float64) Config { return sim.Scale16Config(scale) }
 
 // Fleet16Specs builds the sixteen-program mix that rides Scale16Config:

@@ -2,8 +2,8 @@
 // worker count, reporting "shards", "speedup" (vs this run's shards=1
 // point) and "gomaxprocs" so cmd/benchjson can render the scaling curve.
 // Results are byte-identical across the sweep — the benchmark verifies
-// that too — so speedup is purely an engine-throughput number, bounded
-// above by GOMAXPROCS.
+// that too — so speedup is purely a throughput number of the clustered
+// runner, bounded above by GOMAXPROCS.
 package profess
 
 import (

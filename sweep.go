@@ -843,7 +843,7 @@ func (p *SweepPlan) ExecuteOpts(ctx context.Context, opts ExecOptions) (*ExecRep
 	}
 
 	// runCell performs one attempt, with panic containment matching
-	// parallelFor's. wctx is the worker's context, carrying its private
+	// par.For's. wctx is the worker's context, carrying its private
 	// simulation-state arena (see withWorkerArena).
 	runCell := func(wctx context.Context, i int) (err error) {
 		defer func() {
