@@ -10,19 +10,14 @@ COVER_MIN ?= 70
 # How long each fuzz target runs in `make fuzz-smoke`.
 FUZZTIME ?= 10s
 
-.PHONY: check vet build test test-race bench bench-json bench-smoke sweep-bench sweep-smoke chaos-smoke xval-smoke shard-smoke shard-bench arena-smoke sample-smoke sample-bench quick cover fuzz-smoke
+.PHONY: check vet build test test-race bench bench-smoke sweep-smoke chaos-smoke xval-smoke shard-smoke arena-smoke sample-smoke perfbench-check quick cover fuzz-smoke
 
 # Minimum statement coverage (percent) for internal/analytic, enforced by
 # `make xval-smoke`: the closed-form tier is only trustworthy while its
 # invariant and error-envelope tests actually exercise it.
 ANALYTIC_COVER_MIN ?= 80
 
-# Label recorded for a `make bench-json` run inside BENCH_FILE.
-BENCH_LABEL ?= local
-# Trajectory file bench-json appends to (committed: the PR's before/after).
-BENCH_FILE ?= BENCH_PR4.json
-
-# Sweep settings for sweep-bench / sweep-smoke: small enough for CI,
+# Sweep settings for sweep-smoke: small enough for CI,
 # large enough that a cache hit is clearly cheaper than a simulation.
 SWEEP_EXPS ?= fig2,fig5,fig10,fig16
 SWEEP_INSTR ?= 200000
@@ -49,37 +44,10 @@ quick:
 bench:
 	$(GO) test -bench=. -benchmem
 
-# bench-json runs the full suite once per benchmark and records ns/op,
-# B/op, allocs/op and every custom metric into $(BENCH_FILE) under
-# $(BENCH_LABEL). Re-running with the same label replaces that run, so the
-# committed trajectory stays one-entry-per-milestone.
-bench-json:
-	$(GO) build -o bin/benchjson ./cmd/benchjson
-	$(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' | \
-		bin/benchjson -label $(BENCH_LABEL) -o $(BENCH_FILE)
-
 # bench-smoke is the CI guard: every benchmark must still run to
 # completion (one iteration, no timing assertions).
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
-
-# sweep-bench records the planner's trajectory into $(BENCH_FILE): a
-# cache-disabled baseline (the honest end-to-end cost), a cold planned
-# sweep into a fresh cache directory, and a warm re-run served entirely
-# from disk. Reports go to /dev/null — only the timings matter here.
-sweep-bench:
-	$(GO) build -o bin/professbench ./cmd/professbench
-	$(GO) build -o bin/benchjson ./cmd/benchjson
-	rm -rf bin/sweepcache && mkdir -p bin/sweepcache
-	bin/professbench -exp $(SWEEP_EXPS) -instr $(SWEEP_INSTR) -workloads $(SWEEP_WORKLOADS) \
-		-nocache -cachedir off -benchout bin/sweep-nocache.txt > /dev/null
-	bin/benchjson -label sweep-nocache -o $(BENCH_FILE) < bin/sweep-nocache.txt
-	bin/professbench -exp $(SWEEP_EXPS) -instr $(SWEEP_INSTR) -workloads $(SWEEP_WORKLOADS) \
-		-cachedir bin/sweepcache -benchout bin/sweep-cold.txt > /dev/null
-	bin/benchjson -label sweep-cold -o $(BENCH_FILE) < bin/sweep-cold.txt
-	bin/professbench -exp $(SWEEP_EXPS) -instr $(SWEEP_INSTR) -workloads $(SWEEP_WORKLOADS) \
-		-cachedir bin/sweepcache -benchout bin/sweep-warm.txt > /dev/null
-	bin/benchjson -label sweep-warm -o $(BENCH_FILE) < bin/sweep-warm.txt
 
 # sweep-smoke is the CI guard for the persistent run cache: one sweep
 # runs twice against one cache directory in separate processes. The warm
@@ -147,16 +115,6 @@ shard-smoke:
 	cmp bin/shard1.json bin/shard8.json
 	@echo "shard smoke: 1-shard and 8-shard scale16 runs byte-identical"
 
-# shard-bench records the scale16 shard-scaling curve (wall time, speedup
-# over shards=1, gomaxprocs) into $(BENCH_FILE) — committed for PR8 as
-# BENCH_PR8.json. Speedup is bounded by the host's GOMAXPROCS; see the
-# README's Performance section before reading anything into a 1-CPU run.
-SHARD_BENCHTIME ?= 3x
-shard-bench:
-	$(GO) build -o bin/benchjson ./cmd/benchjson
-	$(GO) test -bench=BenchmarkScale16Shards -benchtime=$(SHARD_BENCHTIME) -run='^$$' | \
-		bin/benchjson -label $(BENCH_LABEL) -o $(BENCH_FILE)
-
 # arena-smoke is the CI guard for simulation-state arena reuse. The
 # differential arena-vs-fresh tests run under the race detector, then a
 # cold deterministic sweep (fig5: 18 cells, no cache, no disk) runs twice
@@ -221,22 +179,22 @@ sample-smoke:
 		{ echo "sampled sweep served no full-fidelity keys"; cat bin/sample-sweep.err; exit 1; }
 	@echo "sample smoke: sampled sweep rewrote and served its cells"
 
-# sample-bench records the fidelity ladder's wall-clock trajectory into
-# $(BENCH_FILE) — committed for PR10 as BENCH_PR10.json: the standard
-# multi-program sweep cold at full fidelity, then cold again on the
-# sampled tier at $(SAMPLE_FRACTION). The ns/op ratio of the two total
-# lines is the sweep speedup the envelope's floor tracks.
-SAMPLE_FRACTION ?= 0.05
-SAMPLE_BENCH_EXPS ?= fig10
-sample-bench:
-	$(GO) build -o bin/professbench ./cmd/professbench
-	$(GO) build -o bin/benchjson ./cmd/benchjson
-	bin/professbench -exp $(SAMPLE_BENCH_EXPS) -instr 0 -cachedir off \
-		-benchout bin/sample-full.txt > /dev/null
-	bin/benchjson -label sweep-full-fidelity -o $(BENCH_FILE) < bin/sample-full.txt
-	bin/professbench -exp $(SAMPLE_BENCH_EXPS) -instr 0 -cachedir off -sample $(SAMPLE_FRACTION) \
-		-benchout bin/sample-sampled.txt > /dev/null
-	bin/benchjson -label sweep-sampled -o $(BENCH_FILE) < bin/sample-sampled.txt
+# perfbench-check is the CI guard for the benchmark's references
+# (perfbench/refs): the perfbench package tests, then one short run of each
+# workload. perfbench exits 0 even when a result is wrong, so each run's
+# last line must read "correct":true with "failed":0. It asserts no
+# timing: the benchmark's speed numbers mean nothing on shared CI hosts.
+perfbench-check:
+	cd perfbench && $(GO) test -count=1 ./...
+	@mkdir -p bin
+	@for w in cell sweep sampled fleet16; do \
+		bash perfbench/run.sh --workload $$w --seconds 1 --trace 0 > bin/perfbench-$$w.out || exit 1; \
+		last=$$(tail -n 1 bin/perfbench-$$w.out); \
+		case "$$last" in \
+		*'"correct":true'*'"failed":0'[,}]*) echo "perfbench $$w: correct, 0 failed" ;; \
+		*) echo "perfbench $$w: results do not match perfbench/refs: $$last"; exit 1 ;; \
+		esac; \
+	done
 
 # xval-smoke is the CI guard for the analytic fast tier: the committed
 # cross-validation error envelope and the sweep-pruning safety audit

@@ -154,8 +154,7 @@ var (
 
 // benchLine is one go-bench-format measurement for -benchout: wall time
 // plus the run-cache counter deltas and heap-allocation deltas attributed
-// to that phase or experiment. The format parses with cmd/benchjson
-// unchanged (unknown units land in its metrics map).
+// to that phase or experiment, in the line format of `go test -bench`.
 type benchLine struct {
 	name      string
 	wall      time.Duration
@@ -171,8 +170,8 @@ func (l benchLine) String() string {
 
 // memSnapshot reads the process's cumulative allocation counters; deltas
 // between two snapshots attribute heap churn (object count and bytes) to
-// a phase. benchjson divides by the phase's simulation count to report
-// allocs/cell — the arena-reuse regression gate of `make arena-smoke`.
+// a phase. `make arena-smoke` divides by the phase's simulation count to
+// gate allocs/cell, the arena-reuse regression check.
 func memSnapshot() (mallocs, heapBytes uint64) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -194,7 +193,7 @@ func main() {
 		nocache  = flag.Bool("nocache", false, "disable the run cache entirely (every cell simulates from scratch; implies -noplan and no disk tier)")
 		noplan   = flag.Bool("noplan", false, "skip the plan/execute phases; experiments simulate as they render")
 		cachedir = flag.String("cachedir", profess.DefaultRunCacheDir(), "persistent run-cache directory ('' or 'off' disables the disk tier)")
-		benchout = flag.String("benchout", "", "write go-bench-format wall-time and cache-counter lines to this file (pipe into benchjson)")
+		benchout = flag.String("benchout", "", "write go-bench-format wall-time and cache-counter lines to this file")
 		resume   = flag.Bool("resume", true, "resume an interrupted sweep from its journal in the cache directory; -resume=false discards prior progress and starts fresh")
 		prune    = flag.Bool("prune", false, "prune planned cells whose scheme the analytic fast tier cannot distinguish from a representative; pruned cells render from the representative's result")
 		prunemgn = flag.Float64("prunemargin", profess.DefaultPruneMargin, "analytic indistinguishability margin for -prune (see EXPERIMENTS.md before raising it)")
@@ -475,8 +474,8 @@ func printFlag(out io.Writer, f *flag.Flag) {
 
 // writeBenchout emits the per-experiment wall times, cache-counter and
 // allocation deltas in go-bench format, closed by a total line carrying
-// the sweep's overall hit rate and GOMAXPROCS. The file parses with
-// cmd/benchjson as-is.
+// the sweep's overall hit rate and GOMAXPROCS. `make sweep-smoke` and
+// `make arena-smoke` read it.
 func writeBenchout(path string, lines []benchLine, wall time.Duration) error {
 	f, err := os.Create(path)
 	if err != nil {

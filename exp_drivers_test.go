@@ -1,7 +1,9 @@
 package profess
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"strings"
 	"sync"
@@ -226,6 +228,37 @@ func TestRunMemPodComparison(t *testing.T) {
 	}
 	if rep.String() == "" {
 		t.Error("empty render")
+	}
+}
+
+// TestRunOracleDeterministic: the oracle's placements derive from a
+// profile with ties broken by slot, so repeated runs of one program read
+// identical Result JSON.
+func TestRunOracleDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	cfg := SingleCoreConfig(PaperScale)
+	cfg.Instructions = 300_000
+	spec, err := SpecFor("lbm", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first []byte
+	for run := 1; run <= 3; run++ {
+		res, err := RunOracle(spec, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		js, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run == 1 {
+			first = js
+		} else if !bytes.Equal(js, first) {
+			t.Fatalf("run %d of RunOracle differs from run 1:\n%s\n%s", run, js, first)
+		}
 	}
 }
 

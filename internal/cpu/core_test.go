@@ -23,10 +23,13 @@ func (f *fakeMemory) Access(core int, addr int64, write bool, done event.Handler
 	if f.inflight > f.maxSeen {
 		f.maxSeen = f.inflight
 	}
-	f.sched.After(f.latency, func(now int64) {
-		f.inflight--
-		done.HandleEvent(now, token, nil)
-	})
+	f.sched.Schedule(f.sched.Now()+f.latency, f, token, done)
+}
+
+// HandleEvent completes one access: p is the access's completion handler.
+func (f *fakeMemory) HandleEvent(now int64, token int64, p any) {
+	f.inflight--
+	p.(event.Handler).HandleEvent(now, token, nil)
 }
 
 func genParams(pattern trace.Pattern, gap int32, dep float64) trace.Params {

@@ -16,14 +16,14 @@ func (h *countingHandler) HandleEvent(now int64, i int64, p any) {
 }
 
 // TestZeroAllocSteadyState pins the engine's core guarantee: once the wheel
-// and bucket arrays are warm, scheduling and dispatching a typed event
+// and node pool are warm, scheduling and dispatching a typed event
 // allocates nothing. A regression here silently reintroduces per-event GC
 // pressure across every simulation, so it fails the build.
 func TestZeroAllocSteadyState(t *testing.T) {
 	q := &Queue{}
 	h := &countingHandler{}
-	// Warm up: allocate the wheel, grow the buckets, exercise the overflow
-	// heap so its backing array has capacity.
+	// Warm up: allocate the wheel, grow the node pool, exercise the
+	// overflow heap so its backing array has capacity.
 	for i := 0; i < 4*wheelSize; i++ {
 		q.Schedule(q.Now()+int64(i%257), h, int64(i), nil)
 		q.Step()
@@ -56,14 +56,13 @@ func TestZeroAllocOverflow(t *testing.T) {
 	}
 }
 
-// TestSchedulePastClamps documents the monotonic-clamp contract for the
-// typed path, mirroring At: a typed event armed in the past fires at Now,
-// after events already pending for Now.
+// TestSchedulePastClamps documents the monotonic-clamp contract: an event
+// armed in the past fires at Now, after events already pending for Now.
 func TestSchedulePastClamps(t *testing.T) {
 	q := &Queue{}
 	var order []int64
-	rec := HandlerFunc(func(now int64, i int64, _ any) { order = append(order, i) })
-	q.At(10, func(now int64) {
+	rec := call(func(now int64, i int64, _ any) { order = append(order, i) })
+	at(q, 10, func(now int64) {
 		q.Schedule(3, rec, 1, nil) // past: clamps to cycle 10
 		q.Schedule(10, rec, 2, nil)
 	})
@@ -90,7 +89,7 @@ func TestSchedulePastClamps(t *testing.T) {
 func BenchmarkQueue_SteadyState(b *testing.B) {
 	q := &Queue{}
 	h := &countingHandler{}
-	for i := 0; i < wheelSize; i++ { // warm the buckets
+	for i := 0; i < wheelSize; i++ { // warm the node pool
 		q.Schedule(q.Now()+int64(i%97), h, 0, nil)
 		q.Step()
 	}
@@ -102,36 +101,17 @@ func BenchmarkQueue_SteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkQueue_Closure measures the compatibility closure path (At) for
-// comparison; the closure allocation is charged to the caller here.
-func BenchmarkQueue_Closure(b *testing.B) {
-	q := &Queue{}
-	var n int64
-	fn := func(now int64) { n++ }
-	for i := 0; i < wheelSize; i++ {
-		q.At(q.Now()+int64(i%97), fn)
-		q.Step()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q.At(q.Now()+int64(i%97)+1, fn)
-		q.Step()
-	}
-}
-
-// TestZeroAllocMigrationDrain guards the batched overflow→wheel migration
-// against the alloc churn it replaced: when a batch of far-future events
-// (refresh windows, telemetry epochs of a large config) comes due on the
-// same cycle, the drain must reuse the staging slice and the destination
-// bucket's backing array instead of growing the bucket append by append.
+// TestZeroAllocMigrationDrain guards the batched overflow→wheel migration:
+// when a batch of far-future events (refresh windows, telemetry epochs of
+// a large config) comes due on the same cycle, the drain must reuse the
+// staging slice and the pooled nodes instead of allocating per event.
 func TestZeroAllocMigrationDrain(t *testing.T) {
 	q := &Queue{}
 	h := &countingHandler{}
 	const batch = 512
 	drain := func() {
 		// Align the batch to a wheel-size boundary so every iteration
-		// lands on the same destination bucket and its warmed capacity.
+		// lands on the same destination bucket.
 		base := (q.Now()/wheelSize + 2) * wheelSize
 		for i := 0; i < batch; i++ {
 			q.Schedule(base, h, int64(i), nil)
@@ -142,7 +122,7 @@ func TestZeroAllocMigrationDrain(t *testing.T) {
 			}
 		}
 	}
-	drain() // warm: grow the heap, the staging slice, and the bucket
+	drain() // warm: grow the heap, the staging slice and the node pool
 	allocs := testing.AllocsPerRun(100, drain)
 	if allocs != 0 {
 		t.Fatalf("migration drain of %d far-future events: %v allocs per drain, want 0", batch, allocs)

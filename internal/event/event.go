@@ -1,35 +1,32 @@
 // Package event implements the discrete-event engine at the heart of the
 // simulator: a monotonic clock plus a calendar of pending work. Components
 // (cores, memory channels, the migration machinery) schedule future work
-// with At/Schedule and the driver pumps events with Step/RunUntil.
+// with Schedule and the driver pumps events with Step/RunUntil.
 //
 // # Engine
 //
 // The calendar is a hierarchical timing wheel: events within the near
 // horizon (wheelSize cycles) land in per-cycle buckets addressed by
 // t mod wheelSize, and events beyond it wait in a typed overflow min-heap
-// that is migrated into the wheel as the clock advances. Both tiers store
-// events by value in reusable backing arrays, so pushing and popping an
-// event performs no heap allocation in steady state — unlike the previous
-// container/heap calendar, which boxed every item through interface{}.
+// that is migrated into the wheel as the clock advances. A bucket is a
+// FIFO of nodes linked by index through one pooled node array with a free
+// list, so the wheel's memory is the peak number of pending events, not
+// the peak depth of every bucket, and pushing and popping an event
+// performs no heap allocation in steady state.
 //
 // # Dispatch
 //
-// Events come in two flavours:
-//
-//   - Closure events (At/After): fn(now) — the compatibility surface; the
-//     closure itself is allocated at the caller.
-//   - Typed events (Schedule): h.HandleEvent(now, i, p) on a pre-bound
-//     long-lived Handler with a small tagged payload. Scheduling one
-//     allocates nothing, which is what the simulator's hot paths use.
+// An event is a typed dispatch: h.HandleEvent(now, i, p) on a pre-bound
+// long-lived Handler with a small tagged payload. Scheduling one allocates
+// nothing.
 //
 // # Determinism
 //
-// Events fire in (time, insertion order) — the seq tiebreak. Within a
-// wheel bucket insertion order is append order; the overflow heap orders
-// by (at, seq); and migration drains the heap in that order before any
-// same-cycle event can be inserted directly, so the global dispatch order
-// is exactly the order a single sorted calendar would produce.
+// Events fire in (time, insertion order). Within a wheel bucket insertion
+// order is FIFO order; the overflow heap orders by (at, seq); and
+// migration drains the heap in that order before any same-cycle event can
+// be inserted directly, so the global dispatch order is exactly the order
+// a single sorted calendar would produce.
 package event
 
 import (
@@ -58,43 +55,37 @@ type Handler interface {
 	HandleEvent(now int64, i int64, p any)
 }
 
-// HandlerFunc adapts a plain function to the Handler interface — glue for
-// tests and call sites where a pre-bound component would be overkill. Note
-// that a HandlerFunc value is itself a closure, so this is not the
-// zero-allocation path.
-type HandlerFunc func(now int64, i int64, p any)
-
-// HandleEvent implements Handler.
-func (f HandlerFunc) HandleEvent(now int64, i int64, p any) { f(now, i, p) }
-
-// timed is one scheduled event: a closure (fn non-nil) or a typed
-// dispatch (h non-nil). Stored by value in wheel buckets and the
-// overflow heap.
+// timed is one beyond-horizon event, stored by value in the overflow heap.
 type timed struct {
 	at  int64
 	seq int64 // insertion order breaks ties for determinism
-	fn  func(now int64)
 	h   Handler
 	i   int64
 	p   any
 }
 
-// bucket holds the events of one cycle within the wheel horizon. head
-// indexes the next event to fire; the backing array is reset (not freed)
-// when drained, so capacity is reused across wheel rotations.
-type bucket struct {
-	head  int
-	items []timed
+// node is one in-horizon event in the pooled node array. A node needs no
+// time: every event in a bucket fires on the bucket's one cycle.
+type node struct {
+	h    Handler
+	p    any
+	i    int64
+	next int32 // next node of the bucket, or of the free list; 0 ends it
 }
+
+// fifo is one bucket: the first and last node of its events (0 = empty).
+type fifo struct{ head, tail int32 }
 
 // Queue is a discrete-event calendar. The zero value is ready to use.
 type Queue struct {
 	now int64
-	seq int64
-	n   int // total pending events (wheel + overflow)
+	seq int64 // overflow insertions so far; orders same-cycle overflow events
+	n   int   // total pending events (wheel + overflow)
 
-	wheel    []bucket // wheelSize buckets, allocated on first insert
+	wheel    []fifo   // wheelSize buckets, allocated on first insert
 	occ      []uint64 // occupancy bitmap over buckets
+	nodes    []node   // node pool; nodes[0] is the nil sentinel
+	free     int32    // head of the free-node list
 	wheelN   int      // events currently in the wheel
 	overflow []timed  // min-heap on (at, seq) for beyond-horizon events
 	scratch  []timed  // reusable staging area for overflow→wheel migration
@@ -103,53 +94,49 @@ type Queue struct {
 // Now returns the current simulation time in cycles.
 func (q *Queue) Now() int64 { return q.now }
 
-// At schedules fn to run at cycle t. Scheduling in the past (t < Now)
-// clamps to the current time: the callback runs at Now, after every
-// event already scheduled for Now (insertion order still breaks the
-// tie), preserving the clock's monotonicity.
-func (q *Queue) At(t int64, fn func(now int64)) {
-	q.add(t, timed{fn: fn})
-}
-
-// After schedules fn delay cycles from now. A non-positive delay behaves
-// like At(Now()): the callback runs at the current cycle.
-func (q *Queue) After(delay int64, fn func(now int64)) {
-	q.add(q.now+delay, timed{fn: fn})
-}
-
-// Schedule arms a typed event: at cycle t (clamped to Now like At), h
-// receives HandleEvent(now, i, p). This is the zero-allocation scheduling
-// path: the event is stored by value and h is a pre-bound component.
+// Schedule arms a typed event: at cycle t, h receives HandleEvent(now, i,
+// p). Scheduling in the past (t < Now) clamps to the current time: the
+// event fires at Now, after every event already scheduled for Now
+// (insertion order still breaks the tie), preserving the clock's
+// monotonicity.
 func (q *Queue) Schedule(t int64, h Handler, i int64, p any) {
-	q.add(t, timed{h: h, i: i, p: p})
-}
-
-// add stamps and files one event.
-func (q *Queue) add(t int64, ev timed) {
 	if t < q.now {
 		t = q.now
 	}
-	q.seq++
-	ev.at = t
-	ev.seq = q.seq
 	q.n++
 	if t < q.now+wheelSize {
-		q.pushWheel(ev)
-	} else {
-		q.pushOverflow(ev)
+		q.pushWheel(t, h, i, p)
+		return
 	}
+	q.seq++
+	q.pushOverflow(timed{at: t, seq: q.seq, h: h, i: i, p: p})
 }
 
-// pushWheel files an in-horizon event into its bucket.
-func (q *Queue) pushWheel(ev timed) {
+// pushWheel appends an in-horizon event to its bucket's FIFO.
+func (q *Queue) pushWheel(t int64, h Handler, i int64, p any) {
 	if q.wheel == nil {
-		q.wheel = make([]bucket, wheelSize)
+		q.wheel = make([]fifo, wheelSize)
 		q.occ = make([]uint64, occWords)
+		q.nodes = make([]node, 1) // the nil sentinel
 	}
-	idx := int(ev.at & wheelMask)
+	x := q.free
+	if x != 0 {
+		q.free = q.nodes[x].next
+	} else {
+		x = int32(len(q.nodes))
+		q.nodes = append(q.nodes, node{})
+	}
+	nd := &q.nodes[x]
+	nd.h, nd.p, nd.i, nd.next = h, p, i, 0
+	idx := int(t & wheelMask)
 	b := &q.wheel[idx]
-	b.items = append(b.items, ev)
-	q.occ[idx>>6] |= 1 << uint(idx&63)
+	if b.head == 0 {
+		b.head = x
+		q.occ[idx>>6] |= 1 << uint(idx&63)
+	} else {
+		q.nodes[b.tail].next = x
+	}
+	b.tail = x
 	q.wheelN++
 }
 
@@ -199,13 +186,10 @@ func siftDown(h []timed, j, n int) {
 // inside the wheel horizon into its bucket, in (at, seq) order.
 //
 // Migration is batched: due events are partitioned out of the heap into a
-// reusable staging slice, sorted once, and copied into their buckets with
-// the capacity for each bucket reserved exactly, in one grow. The naive
-// pop-and-push loop reallocated the destination bucket's backing array up
-// to log2(k) times when k far-future events (refresh windows, telemetry
-// epochs of a large config) came due on the same cycle; this path performs
-// at most one allocation per destination bucket, and none once the bucket
-// has seen a batch of that size before.
+// reusable staging slice, sorted once, and appended to their buckets, so a
+// batch of k far-future events coming due together (refresh windows,
+// telemetry epochs of a large config) costs one sort instead of k heap
+// pops.
 func (q *Queue) migrate() {
 	horizon := q.now + wheelSize
 	if len(q.overflow) == 0 || q.overflow[0].at >= horizon {
@@ -223,9 +207,7 @@ func (q *Queue) migrate() {
 		}
 	}
 	// Release the tail slots the compaction vacated, then re-heapify.
-	for i := len(keep); i < len(q.overflow); i++ {
-		q.overflow[i] = timed{}
-	}
+	clear(q.overflow[len(keep):])
 	q.overflow = keep
 	for j := len(keep)/2 - 1; j >= 0; j-- {
 		siftDown(keep, j, len(keep))
@@ -236,40 +218,12 @@ func (q *Queue) migrate() {
 		}
 		return 1
 	})
-	// Bulk-insert runs of same-cycle events, reserving each destination
-	// bucket once. Within the horizon each cycle maps to a unique bucket,
-	// so a run shares its destination.
-	for i := 0; i < len(sc); {
-		j := i + 1
-		for j < len(sc) && sc[j].at == sc[i].at {
-			j++
-		}
-		q.reserveWheel(sc[i].at, j-i)
-		for ; i < j; i++ {
-			q.pushWheel(sc[i])
-		}
+	for i := range sc {
+		q.pushWheel(sc[i].at, sc[i].h, sc[i].i, sc[i].p)
 	}
 	// Zero the staging slots so retained capacity holds no payloads.
-	for i := range sc {
-		sc[i] = timed{}
-	}
+	clear(sc)
 	q.scratch = sc[:0]
-}
-
-// reserveWheel ensures the bucket for cycle t can take n more events
-// without growing during the subsequent appends.
-func (q *Queue) reserveWheel(t int64, n int) {
-	if q.wheel == nil {
-		q.wheel = make([]bucket, wheelSize)
-		q.occ = make([]uint64, occWords)
-	}
-	b := &q.wheel[int(t&wheelMask)]
-	if cap(b.items)-len(b.items) >= n {
-		return
-	}
-	grown := make([]timed, len(b.items), len(b.items)+n)
-	copy(grown, b.items)
-	b.items = grown
 }
 
 // nextWheelBucket scans the occupancy bitmap circularly from the current
@@ -292,38 +246,34 @@ func (q *Queue) nextWheelBucket() int {
 	}
 }
 
+// bucketTime returns the cycle of the events in bucket idx. Every wheel
+// event lies in [now, now+wheelSize), where each cycle has its own bucket.
+func (q *Queue) bucketTime(idx int) int64 {
+	return q.now + int64((idx-int(q.now&wheelMask))&wheelMask)
+}
+
 // Reset rewinds the calendar to its zero state — clock at cycle 0, no
 // pending events, insertion counter restarted — while keeping the wheel,
-// bucket backing arrays, overflow heap and staging slice allocated for
-// reuse. Pending events are dropped, with their closure/payload
-// references zeroed so retained capacity pins nothing. A reset queue is
-// indistinguishable from a fresh one to every scheduler client; the
-// simulation-state arena relies on this to re-run a machine in place.
+// node pool, overflow heap and staging slice allocated for reuse. Pending
+// events are dropped, with their payload references zeroed so retained
+// capacity pins nothing. A reset queue is indistinguishable from a fresh
+// one to every scheduler client; the simulation-state arena relies on
+// this to re-run a machine in place.
 func (q *Queue) Reset() {
-	if q.wheel != nil && q.wheelN > 0 {
+	if q.wheelN > 0 {
 		for w := range q.occ {
-			word := q.occ[w]
-			for word != 0 {
-				idx := w<<6 + bits.TrailingZeros64(word)
-				word &= word - 1
-				b := &q.wheel[idx]
-				// Slots before head were already zeroed as they fired.
-				for i := b.head; i < len(b.items); i++ {
-					b.items[i] = timed{}
-				}
-				b.items = b.items[:0]
-				b.head = 0
+			for word := q.occ[w]; word != 0; word &= word - 1 {
+				q.wheel[w<<6+bits.TrailingZeros64(word)] = fifo{}
 			}
 			q.occ[w] = 0
 		}
 	}
-	for i := range q.overflow {
-		q.overflow[i] = timed{}
-	}
+	clear(q.nodes)
+	q.nodes = q.nodes[:min(len(q.nodes), 1)]
+	q.free = 0
+	clear(q.overflow)
 	q.overflow = q.overflow[:0]
-	for i := range q.scratch {
-		q.scratch[i] = timed{}
-	}
+	clear(q.scratch)
 	q.scratch = q.scratch[:0]
 	q.now, q.seq, q.n, q.wheelN = 0, 0, 0, 0
 }
@@ -359,9 +309,7 @@ func (q *Queue) Step() bool {
 	}
 	var t int64
 	if q.wheelN > 0 {
-		idx := q.nextWheelBucket()
-		b := &q.wheel[idx]
-		t = b.items[b.head].at
+		t = q.bucketTime(q.nextWheelBucket())
 	} else {
 		t = q.overflow[0].at
 	}
@@ -371,21 +319,19 @@ func (q *Queue) Step() bool {
 	}
 	idx := int(t & wheelMask)
 	b := &q.wheel[idx]
-	ev := b.items[b.head]
-	b.items[b.head] = timed{} // release closure/payload references
-	b.head++
-	if b.head == len(b.items) {
-		b.items = b.items[:0]
-		b.head = 0
+	x := b.head
+	nd := &q.nodes[x]
+	h, i, p := nd.h, nd.i, nd.p
+	b.head = nd.next
+	if b.head == 0 {
+		b.tail = 0
 		q.occ[idx>>6] &^= 1 << uint(idx&63)
 	}
+	nd.h, nd.p, nd.next = nil, nil, q.free // release payload references
+	q.free = x
 	q.wheelN--
 	q.n--
-	if ev.fn != nil {
-		ev.fn(q.now)
-	} else {
-		ev.h.HandleEvent(q.now, ev.i, ev.p)
-	}
+	h.HandleEvent(q.now, i, p)
 	return true
 }
 
@@ -398,8 +344,7 @@ func (q *Queue) NextAt() (int64, bool) {
 		return 0, false
 	}
 	if q.wheelN > 0 {
-		b := &q.wheel[q.nextWheelBucket()]
-		return b.items[b.head].at, true
+		return q.bucketTime(q.nextWheelBucket()), true
 	}
 	return q.overflow[0].at, true
 }
@@ -423,13 +368,9 @@ func (q *Queue) Drain() int64 {
 }
 
 // Scheduler is the interface components use to talk to the calendar; both
-// *Queue and test fakes satisfy it. At/After are the closure-based
-// compatibility surface; Schedule is the zero-allocation typed path the
-// hot loops use.
+// *Queue and test fakes satisfy it.
 type Scheduler interface {
 	Now() int64
-	At(t int64, fn func(now int64))
-	After(delay int64, fn func(now int64))
 	Schedule(t int64, h Handler, i int64, p any)
 }
 

@@ -5,12 +5,22 @@ import (
 	"testing/quick"
 )
 
+// call adapts a plain function to Handler for tests.
+type call func(now int64, i int64, p any)
+
+func (f call) HandleEvent(now int64, i int64, p any) { f(now, i, p) }
+
+// at schedules fn at cycle t through a test-local handler.
+func at(q *Queue, t int64, fn func(now int64)) {
+	q.Schedule(t, call(func(now int64, _ int64, _ any) { fn(now) }), 0, nil)
+}
+
 func TestOrdering(t *testing.T) {
 	var q Queue
 	var got []int
-	q.At(30, func(int64) { got = append(got, 3) })
-	q.At(10, func(int64) { got = append(got, 1) })
-	q.At(20, func(int64) { got = append(got, 2) })
+	at(&q, 30, func(int64) { got = append(got, 3) })
+	at(&q, 10, func(int64) { got = append(got, 1) })
+	at(&q, 20, func(int64) { got = append(got, 2) })
 	q.Drain()
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Errorf("order = %v", got)
@@ -25,7 +35,7 @@ func TestFIFOTieBreak(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		q.At(5, func(int64) { got = append(got, i) })
+		at(&q, 5, func(int64) { got = append(got, i) })
 	}
 	q.Drain()
 	for i, v := range got {
@@ -37,8 +47,8 @@ func TestFIFOTieBreak(t *testing.T) {
 
 func TestPastSchedulingClamps(t *testing.T) {
 	var q Queue
-	q.At(100, func(now int64) {
-		q.At(50, func(now2 int64) {
+	at(&q, 100, func(now int64) {
+		at(&q, 50, func(now2 int64) {
 			if now2 != 100 {
 				t.Errorf("past event ran at %d, want clamp to 100", now2)
 			}
@@ -50,24 +60,12 @@ func TestPastSchedulingClamps(t *testing.T) {
 	}
 }
 
-func TestAfter(t *testing.T) {
-	var q Queue
-	var ran int64 = -1
-	q.At(40, func(now int64) {
-		q.After(5, func(now2 int64) { ran = now2 })
-	})
-	q.Drain()
-	if ran != 45 {
-		t.Errorf("After fired at %d, want 45", ran)
-	}
-}
-
 func TestStepAndEmpty(t *testing.T) {
 	var q Queue
 	if !q.Empty() || q.Len() != 0 {
 		t.Error("new queue should be empty")
 	}
-	q.At(1, func(int64) {})
+	at(&q, 1, func(int64) {})
 	if q.Empty() || q.Len() != 1 {
 		t.Error("queue should have one event")
 	}
@@ -83,7 +81,7 @@ func TestRunUntilStops(t *testing.T) {
 	var q Queue
 	count := 0
 	for i := 1; i <= 100; i++ {
-		q.At(int64(i), func(int64) { count++ })
+		at(&q, int64(i), func(int64) { count++ })
 	}
 	q.RunUntil(func() bool { return count >= 10 })
 	if count != 10 {
@@ -101,10 +99,10 @@ func TestCascadingEvents(t *testing.T) {
 	recurse = func(now int64) {
 		if depth < 50 {
 			depth++
-			q.After(1, recurse)
+			at(&q, now+1, recurse)
 		}
 	}
-	q.At(0, recurse)
+	at(&q, 0, recurse)
 	q.Drain()
 	if depth != 50 {
 		t.Errorf("depth = %d", depth)
@@ -118,11 +116,11 @@ func TestMonotonicClockProperty(t *testing.T) {
 	f := func(times []int64) bool {
 		var q Queue
 		var seen []int64
-		for _, at := range times {
-			if at < 0 {
-				at = -at
+		for _, t := range times {
+			if t < 0 {
+				t = -t
 			}
-			q.At(at%100000, func(now int64) { seen = append(seen, now) })
+			at(&q, t%100000, func(now int64) { seen = append(seen, now) })
 		}
 		q.Drain()
 		for i := 1; i < len(seen); i++ {

@@ -4,7 +4,7 @@ import "testing"
 
 func TestQueueResetRetainsCapacity(t *testing.T) {
 	q := &Queue{}
-	h := HandlerFunc(func(now int64, i int64, p any) {})
+	h := call(func(now int64, i int64, p any) {})
 	pattern := func() {
 		for i := int64(0); i < 3000; i++ {
 			q.Schedule(i*7, h, 0, nil)

@@ -845,41 +845,55 @@ func (c *Controller) FunctionalAccess(core int, origAddr int64, write bool, now 
 }
 
 // drainFFSwaps commits every swap the policy requested during the current
-// FunctionalAccess: the same remap, counters, STC dirtying and OnSwapDone
-// notification the event path performs on swap completion, with the
-// channel charged functionally.
+// FunctionalAccess, with the channel charged functionally.
 func (c *Controller) drainFFSwaps(now int64) {
 	for i := 0; i < len(c.ffSwaps); i++ {
 		s := c.ffSwaps[i]
-		loc := c.permAt(s.group, s.slot)
 		chIdx := c.layout.Channel(s.group)
-		m1Slot := int(c.m1[s.group])
-		ch := c.chans[chIdx]
-		toSwapLoc := func(l Location) mem.SwapLocation {
-			geom := ch.Config().Geom(l.Module)
-			bank, row := geom.Decompose(l.ByteAddr)
-			return mem.SwapLocation{Module: l.Module, Bank: bank, Row: row}
-		}
-		ch.FunctionalSwap(toSwapLoc(c.layout.LocationOf(s.group, 0)),
-			toSwapLoc(c.layout.LocationOf(s.group, loc)), now)
-
-		c.perm[s.group*c.slots+int64(s.slot)] = 0
-		c.perm[s.group*c.slots+int64(m1Slot)] = uint8(loc)
-		c.m1[s.group] = uint8(s.slot)
-		c.swapping[s.group] = false
-		c.SwapsDone++
-		c.stcs[chIdx].MarkDirty(s.group)
-
-		region := c.layout.Region(s.group)
-		private := c.alloc.IsAnyPrivate(region)
-		ownerM1 := c.alloc.Owner(s.group, m1Slot)
-		ownerM2 := c.alloc.Owner(s.group, s.slot)
-		if ownerM2 >= 0 && ownerM2 < len(c.Cores) {
-			c.Cores[ownerM2].Swaps++
-		}
-		c.policy.OnSwapDone(region, private, ownerM1, ownerM2)
+		c.chans[chIdx].FunctionalSwap(c.swapLocation(chIdx, s.group, 0),
+			c.swapLocation(chIdx, s.group, c.permAt(s.group, s.slot)), now)
+		c.commitSwap(s.group, s.slot)
 	}
 	c.ffSwaps = c.ffSwaps[:0]
+}
+
+// swapLocation resolves location loc of group to the bank and row a swap
+// touches on channel chIdx.
+func (c *Controller) swapLocation(chIdx int, group int64, loc int) mem.SwapLocation {
+	l := c.xl.locationOf(group, loc)
+	bank, row := c.geo[chIdx][l.Module].decompose(l.ByteAddr)
+	return mem.SwapLocation{Module: l.Module, Bank: bank, Row: row}
+}
+
+// commitSwap completes the swap of block (group, slot) with the group's M1
+// resident: the promoted block moves to location 0 and the demoted block
+// to the promoted block's old location; then the swap counters, the STC
+// entry and the policy learn of it.
+func (c *Controller) commitSwap(group int64, slot int) {
+	loc := c.permAt(group, slot)
+	m1Slot := int(c.m1[group])
+	c.perm[group*c.slots+int64(slot)] = 0
+	c.perm[group*c.slots+int64(m1Slot)] = uint8(loc)
+	c.m1[group] = uint8(slot)
+	c.swapping[group] = false
+	c.SwapsDone++
+	c.stcs[c.layout.Channel(group)].MarkDirty(group)
+
+	region := c.layout.Region(group)
+	private := c.alloc.IsAnyPrivate(region)
+	ownerM1 := c.alloc.Owner(group, m1Slot)
+	ownerM2 := c.alloc.Owner(group, slot)
+	if ownerM2 >= 0 && ownerM2 < len(c.Cores) {
+		c.Cores[ownerM2].Swaps++
+	}
+	c.policy.OnSwapDone(region, private, ownerM1, ownerM2)
+}
+
+// HandleEvent implements event.Handler: a swap ScheduleSwap started on a
+// channel completed. The token is the promoted block's index,
+// group*slots + slot.
+func (c *Controller) HandleEvent(_ int64, token int64, _ any) {
+	c.commitSwap(token/c.slots, int(token%c.slots))
 }
 
 // Quiesced reports whether the controller holds no in-flight state — no
@@ -917,35 +931,8 @@ func (c *Controller) ScheduleSwap(group int64, slot int) bool {
 		return true
 	}
 	chIdx := c.layout.Channel(group)
-	m1Slot := int(c.m1[group])
-	m1Location := c.layout.LocationOf(group, 0)
-	m2Location := c.layout.LocationOf(group, loc)
-	ch := c.chans[chIdx]
-
-	toSwapLoc := func(l Location) mem.SwapLocation {
-		geom := ch.Config().Geom(l.Module)
-		bank, row := geom.Decompose(l.ByteAddr)
-		return mem.SwapLocation{Module: l.Module, Bank: bank, Row: row}
-	}
-	ch.Swap(toSwapLoc(m1Location), toSwapLoc(m2Location), func(now int64) {
-		// Commit the remap: promoted block to location 0, demoted block
-		// to the promoted block's old location.
-		c.perm[group*c.slots+int64(slot)] = 0
-		c.perm[group*c.slots+int64(m1Slot)] = uint8(loc)
-		c.m1[group] = uint8(slot)
-		c.swapping[group] = false
-		c.SwapsDone++
-		c.stcs[chIdx].MarkDirty(group)
-
-		region := c.layout.Region(group)
-		private := c.alloc.IsAnyPrivate(region)
-		ownerM1 := c.alloc.Owner(group, m1Slot)
-		ownerM2 := c.alloc.Owner(group, slot)
-		if ownerM2 >= 0 && ownerM2 < len(c.Cores) {
-			c.Cores[ownerM2].Swaps++
-		}
-		c.policy.OnSwapDone(region, private, ownerM1, ownerM2)
-	})
+	c.chans[chIdx].Swap(c.swapLocation(chIdx, group, 0), c.swapLocation(chIdx, group, loc),
+		c, group*c.slots+int64(slot))
 	return true
 }
 

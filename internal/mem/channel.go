@@ -2,6 +2,8 @@ package mem
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"profess/internal/event"
 	"profess/internal/fault"
@@ -72,14 +74,17 @@ func (c ChannelConfig) SwapLatency() int64 {
 	return m2ReadDone + n*t2.Burst + t2.TWR
 }
 
-// qent is one queue slot: the request plus the scan keys the FR-FCFS-Cap
-// loop needs, kept inline so pick walks contiguous memory instead of
+// qent is one waiting request in its bank's queue, with the keys pick
+// compares kept inline so the scan walks contiguous memory instead of
 // chasing a *Request per element.
 type qent struct {
 	r   *Request
-	b   *bank
+	seq int64 // channel-wide enqueue order: age across banks
 	row int64
 }
+
+// maxBanks bounds the banks per partition: one bit each in Channel.ready.
+const maxBanks = 64
 
 type bank struct {
 	openRow            int64 // -1 when closed
@@ -93,6 +98,8 @@ type bank struct {
 	// common case, reduced to two compares instead of a 64-bit division.
 	refClearAt int64
 	refNextAt  int64
+	// queue holds the bank's waiting requests in age order.
+	queue []qent
 }
 
 // Channel models one memory channel: two module bank arrays, a shared data
@@ -103,11 +110,14 @@ type Channel struct {
 	sched event.Scheduler
 	inj   *fault.Injector
 
-	banks        [2][]bank
-	timing       [2]Timing // per-kind timings, resolved once at build
+	banks  [2][]bank
+	timing [2]Timing // per-kind timings, resolved once at build
+	// ready marks, per partition, the banks that have waiting requests
+	// and nothing in flight: the only banks pick has to look at.
+	ready        [2]uint64
+	queued       int // requests waiting in the bank queues
 	busFreeAt    int64
-	blockedUntil int64  // swaps block the whole channel
-	queue        []qent // pending requests in age order
+	blockedUntil int64 // swaps block the whole channel
 	nextSeq      int64
 	refCounted   [2]int64 // refresh windows accounted per partition
 
@@ -132,6 +142,9 @@ func NewChannel(cfg ChannelConfig, sched event.Scheduler) *Channel {
 	ch.timing = [2]Timing{cfg.Timing(Kind(0)), cfg.Timing(Kind(1))}
 	for k := 0; k < 2; k++ {
 		g := ch.cfg.Geom(Kind(k))
+		if g.Banks > maxBanks {
+			panic(fmt.Sprintf("mem: %v has %d banks, the scheduler supports at most %d", Kind(k), g.Banks, maxBanks))
+		}
 		ch.banks[k] = make([]bank, g.Banks)
 		for i := range ch.banks[k] {
 			ch.banks[k][i].openRow = -1
@@ -152,15 +165,15 @@ func (ch *Channel) Config() ChannelConfig { return ch.cfg }
 func (ch *Channel) Reset() {
 	for k := 0; k < 2; k++ {
 		for i := range ch.banks[k] {
-			ch.banks[k][i] = bank{openRow: -1}
+			b := &ch.banks[k][i]
+			clear(b.queue)
+			*b = bank{openRow: -1, queue: b.queue[:0]}
 		}
 	}
+	ch.ready = [2]uint64{}
+	ch.queued = 0
 	ch.busFreeAt = 0
 	ch.blockedUntil = 0
-	for i := range ch.queue {
-		ch.queue[i] = qent{}
-	}
-	ch.queue = ch.queue[:0]
 	ch.nextSeq = 0
 	ch.refCounted = [2]int64{}
 	ch.Counts = EventCounts{}
@@ -176,7 +189,7 @@ func (ch *Channel) Reset() {
 func (ch *Channel) SetFaultInjector(inj *fault.Injector) { ch.inj = inj }
 
 // QueueLen returns the number of requests waiting (not yet issued to banks).
-func (ch *Channel) QueueLen() int { return len(ch.queue) }
+func (ch *Channel) QueueLen() int { return ch.queued }
 
 // AvgQueueDepth returns the mean queue depth sampled at every enqueue.
 func (ch *Channel) AvgQueueDepth() float64 {
@@ -190,7 +203,7 @@ func (ch *Channel) AvgQueueDepth() float64 {
 // prefix with a per-epoch sampler: instantaneous queue occupancy,
 // data-bus busy cycles and per-partition demand traffic.
 func (ch *Channel) RegisterTelemetry(s *telemetry.Sampler, prefix string) {
-	s.Gauge(prefix+".queue", func(int64) float64 { return float64(len(ch.queue)) })
+	s.Gauge(prefix+".queue", func(int64) float64 { return float64(ch.queued) })
 	s.Counter(prefix+".bus_busy", func() int64 { return ch.BusBusyCycles })
 	s.Counter(prefix+".m1_demand", func() int64 {
 		return ch.Counts.Reads[M1] + ch.Counts.Writes[M1]
@@ -217,7 +230,11 @@ func (ch *Channel) HandleEvent(now int64, i int64, p any) {
 	switch i {
 	case chEvComplete:
 		r := p.(*Request)
-		ch.banks[r.Module][r.Bank].inflight = false
+		b := &ch.banks[r.Module][r.Bank]
+		b.inflight = false
+		if len(b.queue) > 0 {
+			ch.ready[r.Module] |= 1 << uint(r.Bank)
+		}
 		if r.Done != nil {
 			r.Done.RequestDone(now, r)
 		} else if r.OnDone != nil {
@@ -236,9 +253,13 @@ func (ch *Channel) Enqueue(r *Request) {
 	now := ch.sched.Now()
 	r.Arrival = now
 	ch.nextSeq++
-	r.seq = ch.nextSeq
-	ch.queue = append(ch.queue, qent{r: r, b: &ch.banks[r.Module][r.Bank], row: r.Row})
-	ch.queueDepthSum += int64(len(ch.queue))
+	b := &ch.banks[r.Module][r.Bank]
+	b.queue = append(b.queue, qent{r: r, seq: ch.nextSeq, row: r.Row})
+	if !b.inflight {
+		ch.ready[r.Module] |= 1 << uint(r.Bank)
+	}
+	ch.queued++
+	ch.queueDepthSum += int64(ch.queued)
 	ch.queueSamples++
 	if ch.inj.Fire(fault.ChannelStall) {
 		// A stall episode wedges the scheduler: nothing dispatches until
@@ -262,38 +283,54 @@ func (ch *Channel) tryDispatch(now int64) {
 		ch.sched.Schedule(ch.blockedUntil, ch, chEvDispatch, nil)
 		return
 	}
-	for {
-		idx := ch.pick()
-		if idx < 0 {
-			return
-		}
-		r := ch.queue[idx].r
-		n := len(ch.queue) - 1
-		copy(ch.queue[idx:], ch.queue[idx+1:])
-		ch.queue[n] = qent{} // drop the stale *Request reference
-		ch.queue = ch.queue[:n]
-		ch.issue(now, r)
+	for ch.ready != [2]uint64{} {
+		b, pos := ch.pick()
+		q := b.queue
+		r := q[pos].r
+		n := len(q) - 1
+		copy(q[pos:], q[pos+1:])
+		q[n] = qent{} // drop the stale *Request reference
+		b.queue = q[:n]
+		ch.queued--
+		ch.sched.Schedule(ch.issue(now, r), ch, chEvComplete, r)
 	}
 }
 
-// pick returns the queue index to issue next, or -1 if nothing can issue.
-func (ch *Channel) pick() int {
-	firstReady := -1
+// pick returns the bank and queue position of the request to issue next;
+// callers ensure some bank is ready. Only ready banks compete: each offers
+// its oldest row hit while its streak is under the cap, and its oldest
+// request; the oldest offered hit wins, else the oldest request. Age
+// across banks is the channel-wide enqueue order, so this is exactly the
+// request a scan of all waiting requests in age order would pick.
+func (ch *Channel) pick() (*bank, int) {
+	var hitB, oldB *bank
+	hitPos := 0
+	hitSeq, oldSeq := int64(math.MaxInt64), int64(math.MaxInt64)
 	cap := ch.cfg.RowHitCap
-	for i := range ch.queue {
-		e := &ch.queue[i]
-		b := e.b
-		if b.inflight {
-			continue
-		}
-		if firstReady < 0 {
-			firstReady = i
-		}
-		if b.openRow == e.row && b.hitStreak < cap {
-			return i // oldest capped row hit wins
+	for k := range ch.ready {
+		for m := ch.ready[k]; m != 0; m &= m - 1 {
+			b := &ch.banks[k][bits.TrailingZeros64(m)]
+			if b.hitStreak < cap {
+				for pos := range b.queue {
+					e := &b.queue[pos]
+					if e.seq >= hitSeq {
+						break // the queue is in age order: no older hit follows
+					}
+					if e.row == b.openRow {
+						hitB, hitPos, hitSeq = b, pos, e.seq
+						break
+					}
+				}
+			}
+			if s := b.queue[0].seq; s < oldSeq {
+				oldB, oldSeq = b, s
+			}
 		}
 	}
-	return firstReady
+	if hitB != nil {
+		return hitB, hitPos
+	}
+	return oldB, 0
 }
 
 // refresh applies the refresh-window bookkeeping shared by the event-driven
@@ -334,9 +371,9 @@ func (ch *Channel) refresh(k Kind, t *Timing, b *bank, start int64) int64 {
 	return start
 }
 
-// issue performs the timing computation for one request and schedules its
-// completion.
-func (ch *Channel) issue(now int64, r *Request) {
+// issue performs the timing computation for one request leaving its bank
+// queue at now and returns the cycle its data burst completes.
+func (ch *Channel) issue(now int64, r *Request) int64 {
 	k := r.Module
 	t := &ch.timing[k]
 	b := &ch.banks[k][r.Bank]
@@ -385,6 +422,7 @@ func (ch *Channel) issue(now int64, r *Request) {
 		ch.Counts.Reads[k]++
 	}
 	b.inflight = true
+	ch.ready[k] &^= 1 << uint(r.Bank)
 	// NVM transients: an M2 demand burst may fail after paying its full
 	// timing; the submitter sees Faulted and decides whether to retry.
 	if r.Module == M2 && r.Core >= 0 {
@@ -394,7 +432,7 @@ func (ch *Channel) issue(now int64, r *Request) {
 			r.Faulted = ch.inj.Fire(fault.NVMReadTransient)
 		}
 	}
-	ch.sched.Schedule(done, ch, chEvComplete, r)
+	return done
 }
 
 // FunctionalAccess serves one 64-B access without the event-driven
@@ -512,38 +550,7 @@ func (ch *Channel) ffClampSwapHorizon(now int64) {
 // blocking horizon folded into the occupancy state instead of an event.
 // Returns the swap's completion time.
 func (ch *Channel) FunctionalSwap(m1Loc, m2Loc SwapLocation, now int64) int64 {
-	start := now
-	if ch.busFreeAt > start {
-		start = ch.busFreeAt
-	}
-	if ch.blockedUntil > start {
-		start = ch.blockedUntil
-	}
-	end := start + ch.cfg.SwapLatency()
-	ch.blockedUntil = end
-	ch.busFreeAt = end
-	ch.Counts.Swaps++
-	ch.Counts.SwapBusy += end - start
-
-	n := ch.cfg.BlockBytes / 64
-	ch.Counts.SwapReads[M1] += n
-	ch.Counts.SwapReads[M2] += n
-	ch.Counts.SwapWrites[M1] += n
-	ch.Counts.SwapWrites[M2] += n
-	ch.noteM2Write(m2Loc.Bank, m2Loc.Row, n)
-	ch.Counts.Activates[M1]++
-	ch.Counts.Activates[M2]++
-
-	closeBank := func(loc SwapLocation) {
-		b := &ch.banks[loc.Module][loc.Bank]
-		b.openRow = -1
-		b.hitStreak = 0
-		if b.busyUntil < end {
-			b.busyUntil = end
-		}
-	}
-	closeBank(m1Loc)
-	closeBank(m2Loc)
+	end := ch.chargeSwap(m1Loc, m2Loc, now)
 	ch.ffClampSwapHorizon(now)
 	return end
 }
@@ -551,7 +558,7 @@ func (ch *Channel) FunctionalSwap(m1Loc, m2Loc SwapLocation, now int64) int64 {
 // Quiesced reports whether the channel holds no queued or in-flight
 // requests — the precondition for entering a fast-forward span.
 func (ch *Channel) Quiesced() bool {
-	if len(ch.queue) != 0 {
+	if ch.queued != 0 {
 		return false
 	}
 	for k := 0; k < 2; k++ {
@@ -572,12 +579,22 @@ type SwapLocation struct {
 }
 
 // Swap blocks the channel for one block swap between the given M1 and M2
-// locations, counts the component traffic, and invokes onDone when the swap
-// completes. It returns the completion time. Per §4.1 the channel is
-// blocked for the whole swap and row-buffer state of the involved banks is
-// perturbed (we close their rows).
-func (ch *Channel) Swap(m1Loc, m2Loc SwapLocation, onDone func(now int64)) int64 {
-	now := ch.sched.Now()
+// locations and counts the component traffic. When the swap completes,
+// done (if non-nil) receives HandleEvent(now, token, nil) and then the
+// channel dispatches the requests that queued behind it, in one event.
+// It returns the completion time. Per §4.1 the channel is blocked for the
+// whole swap and row-buffer state of the involved banks is perturbed (we
+// close their rows).
+func (ch *Channel) Swap(m1Loc, m2Loc SwapLocation, done event.Handler, token int64) int64 {
+	end := ch.chargeSwap(m1Loc, m2Loc, ch.sched.Now())
+	ch.sched.Schedule(end, (*swapEnd)(ch), token, done)
+	return end
+}
+
+// chargeSwap books one block swap starting no earlier than now and returns
+// its completion time: the channel and bus are blocked until then, the
+// component traffic and M2 wear are counted, and both banks' rows close.
+func (ch *Channel) chargeSwap(m1Loc, m2Loc SwapLocation, now int64) int64 {
 	start := now
 	if ch.busFreeAt > start {
 		start = ch.busFreeAt
@@ -602,7 +619,7 @@ func (ch *Channel) Swap(m1Loc, m2Loc SwapLocation, onDone func(now int64)) int64
 	ch.Counts.Activates[M1]++
 	ch.Counts.Activates[M2]++
 
-	closeBank := func(loc SwapLocation) {
+	for _, loc := range [2]SwapLocation{m1Loc, m2Loc} {
 		b := &ch.banks[loc.Module][loc.Bank]
 		b.openRow = -1
 		b.hitStreak = 0
@@ -610,16 +627,20 @@ func (ch *Channel) Swap(m1Loc, m2Loc SwapLocation, onDone func(now int64)) int64
 			b.busyUntil = end
 		}
 	}
-	closeBank(m1Loc)
-	closeBank(m2Loc)
-
-	ch.sched.At(end, func(t int64) {
-		if onDone != nil {
-			onDone(t)
-		}
-		ch.tryDispatch(t)
-	})
 	return end
+}
+
+// swapEnd is a Channel receiving its swap completions: i carries the
+// submitter's token and p its completion handler. Being the channel
+// itself under another method set, it costs no allocation to schedule.
+type swapEnd Channel
+
+// HandleEvent implements event.Handler.
+func (s *swapEnd) HandleEvent(now int64, token int64, p any) {
+	if done, ok := p.(event.Handler); ok {
+		done.HandleEvent(now, token, nil)
+	}
+	(*Channel)(s).tryDispatch(now)
 }
 
 // BlockedUntil exposes the current swap-blocking horizon (for tests).
@@ -628,5 +649,5 @@ func (ch *Channel) BlockedUntil() int64 { return ch.blockedUntil }
 // String summarises the channel state.
 func (ch *Channel) String() string {
 	return fmt.Sprintf("channel{queue=%d busFree=%d blocked=%d swaps=%d}",
-		len(ch.queue), ch.busFreeAt, ch.blockedUntil, ch.Counts.Swaps)
+		ch.queued, ch.busFreeAt, ch.blockedUntil, ch.Counts.Swaps)
 }

@@ -20,6 +20,11 @@ func runOne(t *testing.T, ch *Channel, q *event.Queue, r *Request) int64 {
 	return lat
 }
 
+// call adapts a plain function to event.Handler for tests.
+type call func(now int64)
+
+func (f call) HandleEvent(now int64, _ int64, _ any) { f(now) }
+
 func newTestChannel() (*Channel, *event.Queue) {
 	q := &event.Queue{}
 	return NewChannel(DefaultChannelConfig(2<<20, 16<<20), q), q
@@ -165,7 +170,7 @@ func TestSwapBlocksChannel(t *testing.T) {
 	end := ch.Swap(
 		SwapLocation{Module: M1, Bank: 0, Row: 1},
 		SwapLocation{Module: M2, Bank: 3, Row: 7},
-		func(now int64) { swapDone = now },
+		call(func(now int64) { swapDone = now }), 0,
 	)
 	// A demand request enqueued during the swap must wait until it ends.
 	var reqDone int64
@@ -194,7 +199,7 @@ func want(ch *Channel) int64 { return ch.Config().SwapLatency() }
 func TestSwapClosesInvolvedRows(t *testing.T) {
 	ch, q := newTestChannel()
 	runOne(t, ch, q, &Request{Module: M1, Bank: 0, Row: 1})
-	ch.Swap(SwapLocation{Module: M1, Bank: 0, Row: 1}, SwapLocation{Module: M2, Bank: 0, Row: 1}, nil)
+	ch.Swap(SwapLocation{Module: M1, Bank: 0, Row: 1}, SwapLocation{Module: M2, Bank: 0, Row: 1}, nil, 0)
 	q.Drain()
 	// Re-access the previously open row: it must be a miss again.
 	misses := ch.Counts.RowMisses[M1]
@@ -206,8 +211,8 @@ func TestSwapClosesInvolvedRows(t *testing.T) {
 
 func TestBackToBackSwapsQueue(t *testing.T) {
 	ch, _ := newTestChannel()
-	end1 := ch.Swap(SwapLocation{Module: M1, Bank: 0, Row: 1}, SwapLocation{Module: M2, Bank: 0, Row: 1}, nil)
-	end2 := ch.Swap(SwapLocation{Module: M1, Bank: 1, Row: 1}, SwapLocation{Module: M2, Bank: 1, Row: 1}, nil)
+	end1 := ch.Swap(SwapLocation{Module: M1, Bank: 0, Row: 1}, SwapLocation{Module: M2, Bank: 0, Row: 1}, nil, 0)
+	end2 := ch.Swap(SwapLocation{Module: M1, Bank: 1, Row: 1}, SwapLocation{Module: M2, Bank: 1, Row: 1}, nil, 0)
 	if end2 != end1+ch.Config().SwapLatency() {
 		t.Errorf("second swap end = %d, want %d", end2, end1+ch.Config().SwapLatency())
 	}
@@ -220,7 +225,7 @@ func TestChannelDeterminism(t *testing.T) {
 			ch.Enqueue(&Request{Module: Kind(i % 2), Bank: i % 16, Row: int64(i % 7)})
 			if i%50 == 25 {
 				ch.Swap(SwapLocation{Module: M1, Bank: i % 16, Row: 1},
-					SwapLocation{Module: M2, Bank: i % 16, Row: 2}, nil)
+					SwapLocation{Module: M2, Bank: i % 16, Row: 2}, nil, 0)
 			}
 		}
 		return q.Drain()

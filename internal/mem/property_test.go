@@ -22,7 +22,7 @@ func TestEveryRequestCompletesProperty(t *testing.T) {
 			switch {
 			case op%13 == 0:
 				ch.Swap(SwapLocation{Module: M1, Bank: bank, Row: row},
-					SwapLocation{Module: M2, Bank: bank, Row: row}, nil)
+					SwapLocation{Module: M2, Bank: bank, Row: row}, nil, 0)
 			default:
 				want++
 				ch.Enqueue(&Request{
@@ -54,7 +54,7 @@ func TestLatencyNonNegativeProperty(t *testing.T) {
 		for i, op := range ops {
 			r := &Request{Module: Kind(op % 2), Bank: int(op) % 16, Row: int64(op) % 64}
 			delay := int64(i) * 7
-			q.At(delay, func(int64) {
+			q.Schedule(delay, call(func(int64) {
 				arrivalFloor := delay
 				r.OnDone = func(now int64) {
 					if now < arrivalFloor {
@@ -62,7 +62,7 @@ func TestLatencyNonNegativeProperty(t *testing.T) {
 					}
 				}
 				ch.Enqueue(r)
-			})
+			}), 0, nil)
 		}
 		q.Drain()
 		return ok

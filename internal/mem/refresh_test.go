@@ -12,9 +12,9 @@ func TestRefreshStallsRequests(t *testing.T) {
 	}
 	// Land a request just inside the second refresh window.
 	var done int64
-	q.At(tm.TREFI+1, func(now int64) {
+	q.Schedule(tm.TREFI+1, call(func(now int64) {
 		ch.Enqueue(&Request{Module: M1, Bank: 0, Row: 1, OnDone: func(n int64) { done = n }})
-	})
+	}), 0, nil)
 	q.Drain()
 	minDone := tm.TREFI + tm.TRFC + tm.TRCD + tm.CL + tm.Burst
 	if done < minDone {
@@ -32,10 +32,10 @@ func TestRefreshClosesRows(t *testing.T) {
 	// Re-access the same row after a refresh interval: must be a miss.
 	misses := ch.Counts.RowMisses[M1]
 	var fired bool
-	q.At(tm.TREFI+tm.TRFC+10, func(now int64) {
+	q.Schedule(tm.TREFI+tm.TRFC+10, call(func(now int64) {
 		fired = true
 		ch.Enqueue(&Request{Module: M1, Bank: 0, Row: 5})
-	})
+	}), 0, nil)
 	q.Drain()
 	if !fired {
 		t.Fatal("scheduling failed")
@@ -54,9 +54,9 @@ func TestM2HasNoRefresh(t *testing.T) {
 	m1refi := ch.Config().M1Timing.TREFI
 	runOne(t, ch, q, &Request{Module: M2, Bank: 0, Row: 5})
 	misses := ch.Counts.RowMisses[M2]
-	q.At(3*m1refi, func(now int64) {
+	q.Schedule(3*m1refi, call(func(now int64) {
 		ch.Enqueue(&Request{Module: M2, Bank: 0, Row: 5})
-	})
+	}), 0, nil)
 	q.Drain()
 	if ch.Counts.RowMisses[M2] != misses {
 		t.Error("M2 row should survive (no refresh): expected a row hit")

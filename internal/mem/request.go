@@ -37,9 +37,6 @@ type Request struct {
 	// injector failed this burst: the timing was paid but the data is
 	// unusable, and the submitter decides whether to retry.
 	Faulted bool
-
-	// internal scheduling state
-	seq int64 // FIFO tiebreak
 }
 
 // Latency returns the queueing + service latency given a completion time.

@@ -52,10 +52,12 @@ type Oracle struct {
 	Swaps int64
 }
 
-// NewOracle derives the per-group best slots from a Profiler's counts.
-// Groups whose best block already sits in slot 0 (initially M1-resident)
-// need no swap and are skipped; so are groups where the margin over the
-// slot-0 block would not repay one swap (minBenefit in weighted accesses).
+// NewOracle derives the per-group best slots from a Profiler's counts; of
+// blocks with equal counts the lowest slot wins, so the placement does not
+// depend on map order. Groups whose best block already sits in slot 0
+// (initially M1-resident) need no swap and are skipped; so are groups
+// where the margin over the slot-0 block would not repay one swap
+// (minBenefit in weighted accesses).
 func NewOracle(counts map[int64]uint64, minBenefit uint64) *Oracle {
 	type bestEntry struct {
 		slot  int
@@ -73,7 +75,7 @@ func NewOracle(counts map[int64]uint64, minBenefit uint64) *Oracle {
 		if slot == 0 {
 			e.slot0 = c
 		}
-		if c > e.count || (c == e.count && e.slot < 0) {
+		if c > e.count || c == e.count && (e.slot < 0 || slot < e.slot) {
 			e.count, e.slot = c, slot
 		}
 	}

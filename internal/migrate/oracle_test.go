@@ -51,6 +51,21 @@ func TestOracleDerivation(t *testing.T) {
 	}
 }
 
+// TestOracleTieLowestSlot: blocks with equal counts tie, and the lowest
+// slot must win every time, whatever order the profile map yields them in.
+func TestOracleTieLowestSlot(t *testing.T) {
+	for i := 0; i < 200; i++ {
+		counts := map[int64]uint64{key(7, 0): 1}
+		for _, slot := range []int{8, 3, 6, 5, 2, 7} {
+			counts[key(7, slot)] = 40
+		}
+		counts[key(7, 1)] = 39
+		if got := NewOracle(counts, 8).best[7]; got != 2 {
+			t.Fatalf("build %d: tied group placed slot %d, want the lowest tied slot 2", i, got)
+		}
+	}
+}
+
 func TestOracleIgnoresM1Accesses(t *testing.T) {
 	o := NewOracle(map[int64]uint64{key(0, 4): 100}, 0)
 	ctx := newFakeCtx()

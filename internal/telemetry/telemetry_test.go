@@ -44,6 +44,11 @@ func TestNilSamplerIsNoOp(t *testing.T) {
 	}
 }
 
+// workFunc adapts a plain function to event.Handler for tests.
+type workFunc func(now int64)
+
+func (f workFunc) HandleEvent(now int64, _ int64, _ any) { f(now) }
+
 // TestSamplingOnCalendar drives a sampler from a real event queue and
 // checks epochs, counter deltas and gauge stamps.
 func TestSamplingOnCalendar(t *testing.T) {
@@ -57,14 +62,14 @@ func TestSamplingOnCalendar(t *testing.T) {
 	s.Gauge("now", func(now int64) float64 { return float64(now) })
 
 	// Simulated work: 1 unit served every 10 cycles for 450 cycles.
-	var work func(now int64)
+	var work workFunc
 	work = func(now int64) {
 		total++
 		if now < 450 {
-			q.After(10, work)
+			q.Schedule(now+10, work, 0, nil)
 		}
 	}
-	q.After(10, work)
+	q.Schedule(10, work, 0, nil)
 	s.Start(q)
 	// The tick re-arms itself forever (the sim loop stops by predicate,
 	// not queue exhaustion), so stop once the workload is done.
