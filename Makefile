@@ -1,6 +1,6 @@
 # Tier-1+ verification gate. `make check` is the bar every change must
-# clear before merging: vet, full build, and the test suite under the
-# race detector.
+# clear before merging: vet, gofmt over every tracked Go file, full build,
+# and the test suite under the race detector.
 
 GO ?= go
 
@@ -10,7 +10,7 @@ COVER_MIN ?= 70
 # How long each fuzz target runs in `make fuzz-smoke`.
 FUZZTIME ?= 10s
 
-.PHONY: check vet build test test-race bench bench-smoke sweep-smoke chaos-smoke xval-smoke shard-smoke arena-smoke sample-smoke perfbench-check quick cover fuzz-smoke
+.PHONY: check vet fmt-check build test test-race bench bench-smoke sweep-smoke chaos-smoke xval-smoke shard-smoke arena-smoke sample-smoke perfbench-check quick cover fuzz-smoke
 
 # Minimum statement coverage (percent) for internal/analytic, enforced by
 # `make xval-smoke`: the closed-form tier is only trustworthy while its
@@ -23,10 +23,15 @@ SWEEP_EXPS ?= fig2,fig5,fig10,fig16
 SWEEP_INSTR ?= 200000
 SWEEP_WORKLOADS ?= w09,w16,w19
 
-check: vet build test-race
+check: vet fmt-check build test-race
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when gofmt would reformat any tracked Go file.
+fmt-check:
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l reports:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -69,17 +74,18 @@ sweep-smoke:
 	@awk '/^BenchmarkExp\/total /{printf "warm sweep: %.2fs\n", $$3 / 1e9}' bin/smoke-warm.txt
 
 # chaos-smoke is the CI guard for crash-safe sweeps. It runs the kill -9
-# chaos harness plus the cancellation/retry/multi-process-write tests
-# under the race detector, and the expired-lease takeover race 300 times
-# (exactly one of eight claimants may win), then drives a real
-# professbench sweep:
-# interrupted with SIGINT mid-execute (must drain and exit 130, or 0 if
-# it finished first) and resumed to completion against the same cache
-# directory. The gate: the cache directory ends with zero lease files,
-# zero takeover temporaries and zero atomic-write temp files.
+# chaos harness plus the executor's plan-lock, cancellation and retry
+# tests and the multi-process cache-write tests under the race detector,
+# then drives real professbench sweeps. One is interrupted with SIGINT
+# mid-execute (it must drain and exit 130, or 0 if it finished first) and
+# resumed to completion against the same cache directory. Then two
+# identical sweeps start together on a fresh cache directory: both must
+# exit 0 with byte-identical reports, and since the second waits for the
+# plan's lock and resumes, their simulated counts must sum to the plan's
+# cell count. The gate: neither directory may hold a leases/ directory
+# or an atomic-write temp file.
 chaos-smoke:
-	$(GO) test -race -count=1 -run 'TestChaos|TestExecuteCancelLeavesResumableJournal|TestExecuteRetriesTransientFailures|TestExecuteExhaustsAttempts|TestDiskCacheMultiProcessWrites|TestDiskCacheSweepsTmpOrphans' .
-	$(GO) test -race -count=300 -run 'TestExpiredTakeoverRace' ./internal/lease
+	$(GO) test -race -count=1 -run 'TestChaos|TestExecute|TestDiskCacheMultiProcessWrites|TestDiskCacheSweepsTmpOrphans' .
 	$(GO) build -o bin/professbench ./cmd/professbench
 	rm -rf bin/chaoscache && mkdir -p bin/chaoscache
 	timeout --preserve-status -s INT 2 bin/professbench -exp fig10 -instr 3000000 -workloads w09 \
@@ -87,11 +93,23 @@ chaos-smoke:
 	if [ $$status -ne 130 ] && [ $$status -ne 0 ]; then \
 		echo "interrupted sweep exited $$status, want 130 (drained) or 0 (finished early)"; exit 1; fi
 	bin/professbench -exp fig10 -instr 3000000 -workloads w09 -cachedir bin/chaoscache > /dev/null
-	@leaks=$$(find bin/chaoscache \( -name '*.lease' -o -name '*.lease.reap-*' -o -name '.tmp-*' \) | wc -l); \
-	if [ $$leaks -ne 0 ]; then \
-		echo "leaked lease/temp files:"; \
-		find bin/chaoscache \( -name '*.lease' -o -name '*.lease.reap-*' -o -name '.tmp-*' \); exit 1; fi; \
-	echo "chaos smoke: no leaked lease or temp files"
+	rm -rf bin/joincache && mkdir -p bin/joincache
+	bin/professbench -exp fig10 -instr 1000000 -workloads w09 -cachedir bin/joincache \
+		> bin/join1.out 2> bin/join1.err & p1=$$!; \
+	bin/professbench -exp fig10 -instr 1000000 -workloads w09 -cachedir bin/joincache \
+		> bin/join2.out 2> bin/join2.err & p2=$$!; \
+	wait $$p1; s1=$$?; wait $$p2; s2=$$?; \
+	if [ $$s1 -ne 0 ] || [ $$s2 -ne 0 ]; then \
+		echo "concurrent sweeps exited $$s1 and $$s2, want 0 and 0"; cat bin/join1.err bin/join2.err; exit 1; fi
+	cmp bin/join1.out bin/join2.out
+	@cells=$$(sed -n 's/.*plan: \([0-9]*\) distinct cells.*/\1/p' bin/join1.err); \
+	sims=$$(sed -n 's/.*execute: \([0-9]*\) simulated.*/\1/p' bin/join1.err bin/join2.err | awk '{ s += $$1 } END { print s + 0 }'); \
+	echo "concurrent sweeps: $$sims simulated for $$cells planned cells"; \
+	if [ -z "$$cells" ] || [ "$$sims" -ne "$$cells" ]; then \
+		echo "concurrent sweeps duplicated or skipped work"; cat bin/join1.err bin/join2.err; exit 1; fi
+	@debris=$$(find bin/chaoscache bin/joincache \( -name leases -o -name '.tmp-*' \)); \
+	if [ -n "$$debris" ]; then echo "leaked leases/ or temp files:"; echo "$$debris"; exit 1; fi; \
+	echo "chaos smoke: no leases/ directory or temp files"
 
 # shard-smoke is the CI guard for the clustered runner (each cluster run on
 # its own, then to the fleet stop cycle, on -shards worker goroutines).

@@ -9,7 +9,9 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,10 +21,10 @@ import (
 // The chaos suite proves the crash-safety contract of the sweep
 // executor: real worker subprocesses sharing one cache directory are
 // SIGKILLed at random points mid-sweep, and fresh workers must finish
-// the sweep from the journal — byte-identical reports, no cell
-// simulated concurrently by two live owners, no leaked lease or temp
-// files. Subprocesses are this test binary re-exec'd against a single
-// guarded helper test, the standard multi-process testing pattern.
+// the sweep from the journal — byte-identical reports, never two live
+// processes executing the plan at once, no leaked temp files.
+// Subprocesses are this test binary re-exec'd against a single guarded
+// helper test, the standard multi-process testing pattern.
 
 // Env knobs for the re-exec helpers.
 const (
@@ -31,18 +33,6 @@ const (
 	chaosDirEnv    = "PROFESS_CHAOS_DIR"    // shared cache directory
 	chaosSlowEnv   = "PROFESS_CHAOS_SLOWMS" // artificial per-simulation latency
 )
-
-// chaosExecOpts are the worker-side executor settings: a short TTL so
-// dead owners are taken over quickly, with a heartbeat comfortably
-// inside it so live owners never look dead.
-func chaosExecOpts() ExecOptions {
-	return ExecOptions{
-		Parallelism: 2,
-		LeaseTTL:    2 * time.Second,
-		Heartbeat:   200 * time.Millisecond,
-		Poll:        50 * time.Millisecond,
-	}
-}
 
 // TestChaosWorkerProcess is the re-exec'd sweep worker, not a test in
 // its own right: it plans the shared chaos sweep against the directory
@@ -66,11 +56,11 @@ func TestChaosWorkerProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := plan.ExecuteOpts(context.Background(), chaosExecOpts())
+	rep, err := plan.ExecuteOpts(context.Background(), ExecOptions{Parallelism: 2})
 	if err != nil {
 		t.Fatalf("worker execute: %v", err)
 	}
-	if got := rep.Done + rep.Resumed + rep.External; got != rep.Cells {
+	if got := rep.Done + rep.Resumed; got != rep.Cells {
 		t.Fatalf("worker finished with %d/%d cells settled", got, rep.Cells)
 	}
 }
@@ -90,25 +80,22 @@ func chaosWorkerCmd(t *testing.T, dir string, slowMS int) (*exec.Cmd, *bytes.Buf
 	return cmd, &out
 }
 
-// assertNoDebris checks the shared directory holds no lease files, no
-// takeover temporaries and no orphaned atomic-write temp files.
+// assertNoDebris checks the shared directory holds no leases directory
+// and no orphaned atomic-write temp files.
 func assertNoDebris(t *testing.T, dir string) {
 	t.Helper()
-	for _, pattern := range []string{
-		filepath.Join(dir, "leases", "*"),
-		filepath.Join(dir, ".tmp-*"),
-	} {
-		if matches, _ := filepath.Glob(pattern); len(matches) != 0 {
-			t.Errorf("leaked files: %v", matches)
-		}
+	if _, err := os.Stat(filepath.Join(dir, "leases")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("sweep created a leases directory (stat: %v)", err)
+	}
+	if matches, _ := filepath.Glob(filepath.Join(dir, ".tmp-*")); len(matches) != 0 {
+		t.Errorf("leaked files: %v", matches)
 	}
 }
 
 // TestChaosKill9Resume is the acceptance harness: workers are SIGKILLed
-// at random points of a shared sweep, then fresh workers join and must
-// complete it — reports byte-identical to a never-crashed run, zero
-// cells simulated by two live owners at once, no leaked lease or temp
-// files.
+// at random points of a shared sweep, then fresh workers start and must
+// complete it — reports byte-identical to a never-crashed run, never two
+// live owners running cells at once, no leaked temp files.
 func TestChaosKill9Resume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns and kills real subprocesses")
@@ -128,12 +115,13 @@ func TestChaosKill9Resume(t *testing.T) {
 	dir := t.TempDir()
 
 	// Kill phase: start a deliberately slowed worker, SIGKILL it
-	// mid-sweep, repeat. Each round strands heartbeat-fresh leases, a
-	// journal with dangling claims, and possibly a half-written temp
-	// file — exactly the crash states resume must absorb.
+	// mid-sweep, repeat. Each round strands a journal with dangling
+	// claims and possibly a half-written temp file — exactly the crash
+	// states resume must absorb. Cells are slow enough that the three
+	// rounds leave cells for the recovery phase.
 	rng := rand.New(rand.NewSource(42)) // fixed seed: reproducible kill points
 	for round := 0; round < 3; round++ {
-		cmd, out := chaosWorkerCmd(t, dir, 150)
+		cmd, out := chaosWorkerCmd(t, dir, 400)
 		if err := cmd.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -145,10 +133,13 @@ func TestChaosKill9Resume(t *testing.T) {
 		_ = cmd.Wait() // expected to report the kill
 	}
 
-	// Recovery phase: two fresh workers join concurrently and must both
-	// finish the sweep, stealing whatever the dead workers still hold.
-	w1, out1 := chaosWorkerCmd(t, dir, 0)
-	w2, out2 := chaosWorkerCmd(t, dir, 0)
+	// Recovery phase: two fresh workers start concurrently and must both
+	// finish: one takes the plan's lock and completes the sweep, the
+	// other waits for it and then resumes every cell from the journal.
+	// Their cells are slowed too, so two workers running the plan at
+	// once would overlap in the journal and fail the audit below.
+	w1, out1 := chaosWorkerCmd(t, dir, 100)
+	w2, out2 := chaosWorkerCmd(t, dir, 100)
 	if err := w1.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +170,7 @@ func TestChaosKill9Resume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := plan.ExecuteOpts(context.Background(), chaosExecOpts())
+	rep, err := plan.ExecuteOpts(context.Background(), ExecOptions{Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,11 +196,11 @@ func TestChaosKill9Resume(t *testing.T) {
 	auditJournal(t, filepath.Join(dir, "sweeps", plan.Hash()+".jsonl"), plan)
 }
 
-// auditJournal asserts the no-duplication property: for each cell, the
-// [claimed, done] intervals of different owners never overlap. Owners
-// killed mid-cell never write their done record, so their claims stay
-// open and legal; two live owners simulating one cell concurrently
-// would close overlapping intervals and fail here.
+// auditJournal asserts the journal records every cell done and that the
+// plan lock held: no two owners' claimed→done intervals overlap anywhere
+// in the journal. Owners killed mid-cell never write their done record,
+// so their last claims stay open and legal; two live processes executing
+// the plan at once would close overlapping intervals and fail here.
 func auditJournal(t *testing.T, path string, plan *SweepPlan) {
 	t.Helper()
 	recs, err := lease.ReadJournal(path)
@@ -220,21 +211,19 @@ func auditJournal(t *testing.T, path string, plan *SweepPlan) {
 		owner      string
 		start, end int64
 	}
-	open := map[string]map[string]int64{} // key -> owner -> claim time
-	closed := map[string][]interval{}
+	open := map[[2]string]int64{} // (owner, key) -> claim time
+	var closed []interval
 	done := map[string]bool{}
 	for _, r := range recs {
+		k := [2]string{r.Owner, r.Key}
 		switch r.Status {
 		case lease.StatusClaimed:
-			if open[r.Key] == nil {
-				open[r.Key] = map[string]int64{}
-			}
-			open[r.Key][r.Owner] = r.Nanos
+			open[k] = r.Nanos
 		case lease.StatusDone:
 			done[r.Key] = true
-			if start, ok := open[r.Key][r.Owner]; ok {
-				closed[r.Key] = append(closed[r.Key], interval{r.Owner, start, r.Nanos})
-				delete(open[r.Key], r.Owner)
+			if start, ok := open[k]; ok {
+				closed = append(closed, interval{r.Owner, start, r.Nanos})
+				delete(open, k)
 			}
 		}
 	}
@@ -243,13 +232,11 @@ func auditJournal(t *testing.T, path string, plan *SweepPlan) {
 			t.Errorf("cell %s has no done record in the journal", c.Key[:12])
 		}
 	}
-	for key, ivs := range closed {
-		for i := 0; i < len(ivs); i++ {
-			for j := i + 1; j < len(ivs); j++ {
-				a, b := ivs[i], ivs[j]
-				if a.owner != b.owner && a.start < b.end && b.start < a.end {
-					t.Errorf("cell %s simulated concurrently by two live owners (%s and %s)", key[:12], a.owner, b.owner)
-				}
+	for i, a := range closed {
+		for _, b := range closed[i+1:] {
+			if a.owner != b.owner && a.start < b.end && b.start < a.end {
+				t.Errorf("owners %s and %s ran cells at the same time", a.owner, b.owner)
+				return
 			}
 		}
 	}
@@ -257,7 +244,7 @@ func auditJournal(t *testing.T, path string, plan *SweepPlan) {
 
 // TestExecuteCancelLeavesResumableJournal pins the cancellation
 // contract: ctx cancellation mid-sweep returns ctx.Err() itself (not
-// joined cell errors), drains promptly, releases every lease, and
+// joined cell errors), drains promptly, releases the plan's lock, and
 // leaves a journal from which a second call completes the sweep.
 func TestExecuteCancelLeavesResumableJournal(t *testing.T) {
 	if testing.Short() {
@@ -295,10 +282,14 @@ func TestExecuteCancelLeavesResumableJournal(t *testing.T) {
 	if rep.Done >= rep.Cells {
 		t.Fatalf("all %d cells finished before cancellation; the resume leg tests nothing", rep.Cells)
 	}
-	// Leases must be gone the moment the call returns, not on TTL.
-	if matches, _ := filepath.Glob(filepath.Join(dir, "leases", "*")); len(matches) != 0 {
-		t.Errorf("cancelled execute leaked leases: %v", matches)
+	// The plan's lock must be free the moment the call returns.
+	lockCtx, cancelLock := context.WithTimeout(context.Background(), time.Second)
+	defer cancelLock()
+	held, err := lease.OpenJournal(lockCtx, rep.JournalPath, false)
+	if err != nil {
+		t.Fatalf("cancelled execute kept the plan's lock: %v", err)
 	}
+	held.Close()
 
 	simCellHook = nil
 	rep2, err := plan.ExecuteOpts(context.Background(), ExecOptions{Parallelism: 2})
@@ -340,10 +331,8 @@ func TestExecuteRetriesTransientFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := plan.ExecuteOpts(context.Background(), ExecOptions{
-		Parallelism:  2,
-		RetryBackoff: time.Millisecond,
-	})
+	withAttempts(t, 3, time.Millisecond)
+	rep, err := plan.ExecuteOpts(context.Background(), ExecOptions{Parallelism: 2})
 	if err != nil {
 		t.Fatalf("transient failures must be retried away, got %v", err)
 	}
@@ -369,8 +358,17 @@ func TestExecuteRetriesTransientFailures(t *testing.T) {
 	assertNoDebris(t, dir)
 }
 
+// withAttempts sets the executor's per-cell attempt cap and retry
+// backoff for one test.
+func withAttempts(t *testing.T, attempts int, backoff time.Duration) {
+	t.Helper()
+	oldAttempts, oldBackoff := maxAttempts, retryBackoff
+	maxAttempts, retryBackoff = attempts, backoff
+	t.Cleanup(func() { maxAttempts, retryBackoff = oldAttempts, oldBackoff })
+}
+
 // TestExecuteExhaustsAttempts checks the failure cap: a permanently
-// failing cell fails the sweep after MaxAttempts, without poisoning the
+// failing cell fails the sweep after maxAttempts, without poisoning the
 // other cells.
 func TestExecuteExhaustsAttempts(t *testing.T) {
 	if testing.Short() {
@@ -391,11 +389,8 @@ func TestExecuteExhaustsAttempts(t *testing.T) {
 	}
 	defer func() { simCellHook = nil }()
 
-	rep, err := plan.ExecuteOpts(context.Background(), ExecOptions{
-		Parallelism:  2,
-		MaxAttempts:  2,
-		RetryBackoff: time.Millisecond,
-	})
+	withAttempts(t, 2, time.Millisecond)
+	rep, err := plan.ExecuteOpts(context.Background(), ExecOptions{Parallelism: 2})
 	if err == nil {
 		t.Fatal("permanently failing cell must fail the sweep")
 	}
@@ -406,7 +401,139 @@ func TestExecuteExhaustsAttempts(t *testing.T) {
 		t.Errorf("report %+v, want 1 failed and %d done", rep, rep.Cells-1)
 	}
 	if rep.Retries != 1 {
-		t.Errorf("%d retries, want 1 (MaxAttempts=2)", rep.Retries)
+		t.Errorf("%d retries, want 1 (maxAttempts=2)", rep.Retries)
+	}
+}
+
+// TestExecuteResumeRetriesExhaustedCell checks that attempts are counted
+// per call: a cell that ran out of attempts in one call is retried by
+// the next, which returns its error, rather than skipped on the strength
+// of the journal's failed records.
+func TestExecuteResumeRetriesExhaustedCell(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	withDiskCache(t)
+	withAttempts(t, 2, time.Millisecond)
+
+	plan, err := PlanSweep(sweepTestExperiments(sweepTestOpts(), nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doomed := plan.Cells[0].Key
+	var attempts atomic.Int32
+	simCellHook = func(key string) error {
+		if key == doomed {
+			attempts.Add(1)
+			return errors.New("injected permanent failure")
+		}
+		return nil
+	}
+	defer func() { simCellHook = nil }()
+
+	if _, err := plan.ExecuteOpts(context.Background(), ExecOptions{Parallelism: 2}); err == nil {
+		t.Fatal("first call: permanently failing cell must fail the sweep")
+	}
+	attempts.Store(0)
+	rep, err := plan.ExecuteOpts(context.Background(), ExecOptions{Parallelism: 2})
+	if err == nil || !strings.Contains(err.Error(), "injected permanent failure") {
+		t.Fatalf("resumed call returned %v, want the exhausted cell's error", err)
+	}
+	if got := attempts.Load(); got != 2 {
+		t.Errorf("resumed call attempted the failed cell %d times, want 2", got)
+	}
+	if rep.Failed != 1 || rep.Done != 0 || rep.Resumed != rep.Cells-1 {
+		t.Errorf("resumed report %+v, want 1 failed and %d resumed", rep, rep.Cells-1)
+	}
+}
+
+// TestExecuteOnePlanOneProcess pins the plan lock: two concurrent calls
+// on one plan and one cache directory do not split the cells. Whichever
+// takes the journal's lock first runs every cell; the other waits, then
+// resumes them all from the journal.
+func TestExecuteOnePlanOneProcess(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	withDiskCache(t)
+	// Slow every real simulation down so the two calls overlap.
+	simCellHook = func(string) error {
+		time.Sleep(20 * time.Millisecond)
+		return nil
+	}
+	defer func() { simCellHook = nil }()
+
+	plan, err := PlanSweep(sweepTestExperiments(sweepTestOpts(), nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		reps [2]*ExecReport
+		errs [2]error
+		wg   sync.WaitGroup
+	)
+	for k := range reps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			reps[k], errs[k] = plan.ExecuteOpts(context.Background(), ExecOptions{Parallelism: 2})
+		}()
+	}
+	wg.Wait()
+	for k, err := range errs {
+		if err != nil {
+			t.Fatalf("call %d: %v", k, err)
+		}
+	}
+	first, second := reps[0], reps[1]
+	if first.Done == 0 {
+		first, second = second, first
+	}
+	if first.Done != first.Cells || first.Resumed != 0 {
+		t.Errorf("first call %+v, want all %d cells run", first, first.Cells)
+	}
+	if second.Resumed != second.Cells || second.Done != 0 {
+		t.Errorf("second call %+v, want all %d cells resumed", second, second.Cells)
+	}
+	if d := RunCacheDetail(); int(d.Sims) != len(plan.Cells) {
+		t.Errorf("%d simulations for %d cells; each must simulate once", d.Sims, len(plan.Cells))
+	}
+}
+
+// TestExecuteCancelWhileWaiting checks that a call blocked on a plan
+// another holder has locked gives up with its context's error promptly
+// and simulates nothing.
+func TestExecuteCancelWhileWaiting(t *testing.T) {
+	dir := withDiskCache(t)
+	plan, err := PlanSweep(sweepTestExperiments(sweepTestOpts(), nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "sweeps"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	held, err := lease.OpenJournal(context.Background(), filepath.Join(dir, "sweeps", plan.Hash()+".jsonl"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(200*time.Millisecond, cancel)
+	start := time.Now()
+	rep, err := plan.ExecuteOpts(ctx, ExecOptions{Parallelism: 2})
+	if !errors.Is(err, context.Canceled) || err.Error() != context.Canceled.Error() {
+		t.Fatalf("call cancelled while waiting returned %v, want context.Canceled", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("cancelled wait took %v to return", d)
+	}
+	if rep == nil || rep.Cells != len(plan.Cells) || rep.Done != 0 {
+		t.Errorf("report %+v, want %d cells and none done", rep, len(plan.Cells))
+	}
+	if d := RunCacheDetail(); d.Sims != 0 {
+		t.Errorf("waiting call simulated %d cells", d.Sims)
 	}
 }
 

@@ -221,8 +221,8 @@ func main() {
 	}
 
 	// First SIGINT/SIGTERM drains gracefully: in-flight cells stop within
-	// one watchdog epoch, leases release, the journal stays resumable. A
-	// second signal kills the process the usual way.
+	// one watchdog epoch, the plan lock is released, the journal stays
+	// resumable. A second signal kills the process the usual way.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
@@ -354,7 +354,7 @@ func main() {
 		rep, err := plan.ExecuteOpts(ctx, profess.ExecOptions{Parallelism: *par, Fresh: !*resume})
 		if errors.Is(err, context.Canceled) {
 			fmt.Fprintf(os.Stderr, "professbench: interrupted; %d/%d cells done, journal kept — re-run to resume\n",
-				rep.Done+rep.Resumed+rep.External, rep.Cells)
+				rep.Done+rep.Resumed, rep.Cells)
 			os.Exit(130)
 		}
 		if err != nil {
@@ -370,9 +370,9 @@ func main() {
 		if rep.Sampled > 0 {
 			fmt.Fprintf(os.Stderr, "professbench: execute: %d cells served by their sampled runs\n", rep.Sampled)
 		}
-		if rep.Resumed > 0 || rep.External > 0 || rep.Stolen > 0 || rep.Retries > 0 {
-			fmt.Fprintf(os.Stderr, "professbench: execute: %d resumed from journal, %d by other workers, %d leases taken over, %d retries\n",
-				rep.Resumed, rep.External, rep.Stolen, rep.Retries)
+		if rep.Resumed > 0 || rep.Retries > 0 {
+			fmt.Fprintf(os.Stderr, "professbench: execute: %d resumed from journal, %d retries\n",
+				rep.Resumed, rep.Retries)
 		}
 		mallocs1, heap1 := memSnapshot()
 		lines = append(lines, benchLine{"plan+execute", time.Since(start), d, mallocs1 - mallocs0, heap1 - heap0})

@@ -10,6 +10,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"runtime/debug"
 	"sort"
 	"strconv"
@@ -47,26 +48,30 @@ const DefaultRunCacheSizeLimit int64 = 1 << 30
 // runCacheCodeStamp identifies the code that produced an entry. Builds
 // stamped by the Go toolchain carry their VCS revision (plus "+dirty"
 // when the worktree was modified); unstamped builds — `go test`, builds
-// outside a checkout — share the stamp "dev". Entries whose stamp differs
-// from the running binary's are stale: deleted on load and re-simulated.
+// outside a checkout — share the revision "dev". The stamp ends in the
+// target architecture, because results may differ across architectures:
+// arm64 fuses floating-point multiply-adds that amd64 rounds separately,
+// which can change swap decisions. Entries whose stamp differs from the
+// running binary's are stale: deleted on load and re-simulated.
 var runCacheCodeStamp = func() string {
+	rev := "dev"
 	if bi, ok := debug.ReadBuildInfo(); ok {
-		var rev, dirty string
+		var vcs, dirty string
 		for _, s := range bi.Settings {
 			switch s.Key {
 			case "vcs.revision":
-				rev = s.Value
+				vcs = s.Value
 			case "vcs.modified":
 				if s.Value == "true" {
 					dirty = "+dirty"
 				}
 			}
 		}
-		if rev != "" {
-			return rev + dirty
+		if vcs != "" {
+			rev = vcs + dirty
 		}
 	}
-	return "dev"
+	return rev + "/" + runtime.GOARCH
 }()
 
 // diskEnvelope is the on-disk entry format. Result stays raw so the
@@ -338,7 +343,7 @@ func (d *diskCache) store(key string, res *Result) {
 // cap. Serialised under the cache mutex so concurrent stores do not race
 // the directory scan. Only ".json" entries count toward the size cap and
 // are eviction candidates: orphaned temp files (reclaimed separately by
-// sweepTmpOrphans once stale), lease/journal subdirectories and other
+// sweepTmpOrphans once stale), the sweeps/ journal subdirectory and other
 // foreign files neither inflate the accounted size nor get evicted.
 func (d *diskCache) prune(dir string) {
 	d.mu.Lock()

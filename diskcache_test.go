@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -144,6 +145,16 @@ func TestDiskCacheCorruptEntriesDeleted(t *testing.T) {
 	}
 	if !reflect.DeepEqual(*res, *got) {
 		t.Error("restored entry decoded to a different Result")
+	}
+}
+
+// TestDiskCacheStampNamesGOARCH checks the code stamp names the target
+// architecture, so a host of another architecture sharing the directory
+// misses instead of reading results its own floating-point code might not
+// reproduce; the stale-stamp case above covers the miss itself.
+func TestDiskCacheStampNamesGOARCH(t *testing.T) {
+	if !strings.HasSuffix(runCacheCodeStamp, "/"+runtime.GOARCH) {
+		t.Errorf("code stamp %q does not end in the architecture %q", runCacheCodeStamp, runtime.GOARCH)
 	}
 }
 

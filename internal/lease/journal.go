@@ -1,11 +1,28 @@
+// Package lease keeps a sweep's durable progress and its ownership in one
+// file: an append-only JSONL journal per sweep plan, recording
+// claimed/done/failed cell transitions keyed by run key. The process
+// executing a plan holds an exclusive flock(2) on the plan's journal for
+// the whole sweep, so one process at a time executes a plan, and the
+// kernel drops the lock the moment its holder exits or dies. A later
+// process resumes by replaying the journal and skipping completed cells.
+//
+// The journal is advisory: the simulation results live in the
+// content-addressed run cache, whose writes are atomic and idempotent, so
+// a lost record or a lock a filesystem does not honour costs duplicated
+// work, never wrong results. flock makes the package Unix-only.
 package lease
 
 import (
 	"bytes"
+	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"sync"
+	"syscall"
 	"time"
 )
 
@@ -32,42 +49,88 @@ type Record struct {
 	Attempt int    `json:"attempt,omitempty"`
 	Err     string `json:"err,omitempty"`
 	// Nanos is the wall-clock timestamp (UnixNano). The chaos harness
-	// audits that completed claim/done intervals of different owners
-	// never overlap on one cell.
+	// audits that the claimed→done intervals of different owners never
+	// overlap.
 	Nanos int64 `json:"t"`
 }
 
-// Journal is one sweep's shared append-only JSONL file. Every worker
-// process of a sweep appends to the same file: each record is a single
-// O_APPEND write well under the atomicity bound of local filesystems, so
-// records from concurrent processes interleave line-whole. Reads are
-// incremental: Tail returns the records appended (by anyone) since the
-// previous Tail, never advancing past a torn final line, so a record
-// whose write was cut by a crash is simply invisible until (if ever)
-// completed.
+// lockRetry is how often OpenJournal retries a lock another process
+// holds.
+const lockRetry = 100 * time.Millisecond
+
+// Journal is one sweep plan's journal, opened for appending and held
+// under an exclusive lock until Close.
 type Journal struct {
-	mu   sync.Mutex
-	path string
-	w    *os.File
-	off  int64 // next unread byte for Tail
+	mu    sync.Mutex
+	f     *os.File
+	owner string
 }
 
-// OpenJournal opens (creating if needed) a journal for appending. The
-// read cursor starts at byte 0, so the first Tail replays the sweep's
-// whole history — resume is a replay plus a subscription.
-func OpenJournal(path string) (*Journal, error) {
-	w, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+// OpenJournal opens (creating if needed) the journal at path and takes an
+// exclusive flock on it, waiting while another process (or another open
+// Journal) holds it; if ctx ends first it returns ctx.Err(). With fresh
+// set it truncates the journal under the lock. The file is never
+// unlinked: a second process could then lock a new file at the same path
+// and two holders would coexist.
+func OpenJournal(ctx context.Context, path string, fresh bool) (*Journal, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("lease: journal: %w", err)
 	}
-	return &Journal{path: path, w: w}, nil
+	if err := lock(ctx, f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	if fresh {
+		if err := f.Truncate(0); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("lease: journal truncate: %w", err)
+		}
+	}
+	return &Journal{f: f, owner: newOwner()}, nil
 }
 
-// Path returns the journal file's path.
-func (j *Journal) Path() string { return j.path }
+// lock takes an exclusive flock on f, retrying every lockRetry while it
+// is held elsewhere, until ctx ends.
+func lock(ctx context.Context, f *os.File) error {
+	tick := time.NewTicker(lockRetry)
+	defer tick.Stop()
+	for {
+		err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB)
+		if err == nil {
+			return nil
+		}
+		if !errors.Is(err, syscall.EWOULDBLOCK) {
+			return fmt.Errorf("lease: lock %s: %w", f.Name(), err)
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-tick.C:
+		}
+	}
+}
 
-// Append writes one record (stamping its time when unset).
+// newOwner builds an owner id unique among live journal holders:
+// host:pid:nonce.
+func newOwner() string {
+	host, err := os.Hostname()
+	if err != nil || host == "" {
+		host = "unknown"
+	}
+	var nonce [4]byte
+	if _, err := rand.Read(nonce[:]); err != nil {
+		return fmt.Sprintf("%s:%d:t%d", host, os.Getpid(), time.Now().UnixNano())
+	}
+	return fmt.Sprintf("%s:%d:%s", host, os.Getpid(), hex.EncodeToString(nonce[:]))
+}
+
+// Append writes one record, stamping this Journal's owner id and the
+// time where they are unset.
 func (j *Journal) Append(r Record) error {
+	if r.Owner == "" {
+		r.Owner = j.owner
+	}
 	if r.Nanos == 0 {
 		r.Nanos = time.Now().UnixNano()
 	}
@@ -78,63 +141,29 @@ func (j *Journal) Append(r Record) error {
 	line = append(line, '\n')
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, err := j.w.Write(line); err != nil {
+	if _, err := j.f.Write(line); err != nil {
 		return fmt.Errorf("lease: journal append: %w", err)
 	}
 	return nil
 }
 
-// Tail returns every complete record appended since the previous Tail
-// (or since open), in file order. Unparseable complete lines are skipped
-// — a corrupt journal degrades to duplicated work, not failure — and a
-// torn final line is left for the next call.
-func (j *Journal) Tail() ([]Record, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	data, err := os.ReadFile(j.path)
-	if err != nil {
-		return nil, fmt.Errorf("lease: journal read: %w", err)
-	}
-	if j.off > int64(len(data)) {
-		// Truncated or replaced under us (operator intervention): start
-		// over rather than reading garbage offsets.
-		j.off = 0
-	}
-	data = data[j.off:]
-	end := bytes.LastIndexByte(data, '\n')
-	if end < 0 {
-		return nil, nil // nothing complete yet
-	}
-	recs := parseRecords(data[:end+1])
-	j.off += int64(end + 1)
-	return recs, nil
-}
-
-// Close closes the append handle. The read cursor dies with the Journal.
+// Close closes the journal, releasing its lock.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.w.Close()
+	return j.f.Close()
 }
 
-// ReadJournal reads a journal's complete records without opening it for
-// append — the read-only view for audits and tooling.
+// ReadJournal reads a journal's complete records. Unparseable complete
+// lines are skipped — a corrupt journal degrades to duplicated work, not
+// failure — and so is a torn final line, the trace of a write cut by a
+// crash.
 func ReadJournal(path string) ([]Record, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if end := bytes.LastIndexByte(data, '\n'); end < 0 {
-		return nil, nil
-	} else {
-		data = data[:end+1]
-	}
-	return parseRecords(data), nil
-}
-
-// parseRecords decodes newline-complete JSONL bytes, skipping corrupt
-// lines.
-func parseRecords(data []byte) []Record {
+	data = data[:bytes.LastIndexByte(data, '\n')+1]
 	var recs []Record
 	for _, line := range bytes.Split(data, []byte{'\n'}) {
 		if len(bytes.TrimSpace(line)) == 0 {
@@ -146,5 +175,5 @@ func parseRecords(data []byte) []Record {
 		}
 		recs = append(recs, r)
 	}
-	return recs
+	return recs, nil
 }

@@ -30,8 +30,8 @@ func FuzzReadTrace(f *testing.F) {
 	f.Add([]byte("XXXXX"))
 	f.Add(valid.Bytes()[:len(valid.Bytes())/2])
 	f.Add(append([]byte("PFTR1"),
-		0x00,                                                       // name length 0
-		0x80, 0x80, 0x01,                                           // footprint
+		0x00,             // name length 0
+		0x80, 0x80, 0x01, // footprint
 		0x0a,                                                       // gap mean
 		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, // count = 2^63+
 	))

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -520,56 +519,23 @@ func (p *SweepPlan) Sample(fraction float64, window int64) []SampledCell {
 	return sampled
 }
 
-// ExecOptions tunes SweepPlan.ExecuteOpts. The zero value gives a
-// GOMAXPROCS pool with the durability defaults below.
+// ExecOptions tunes SweepPlan.ExecuteOpts.
 type ExecOptions struct {
-	// Parallelism bounds concurrent cells in this process (0 = GOMAXPROCS).
+	// Parallelism bounds concurrent cells (0 = GOMAXPROCS).
 	Parallelism int
-	// Fresh discards a previous journal for this plan instead of
-	// resuming it. Only set it when no other worker process is attached
-	// to the sweep.
+	// Fresh truncates the plan's journal instead of resuming from it, so
+	// every cell runs again; cells whose results are in the disk cache
+	// load from it rather than simulating.
 	Fresh bool
-	// LeaseTTL is how stale a cell claim's heartbeat may grow before
-	// other workers presume its owner dead and take the cell over
-	// (default 10s).
-	LeaseTTL time.Duration
-	// Heartbeat is the lease refresh period (default LeaseTTL/4).
-	Heartbeat time.Duration
-	// Poll is how often a worker re-checks cells held by other processes
-	// and tails the shared journal while waiting (default 200ms).
-	Poll time.Duration
-	// MaxAttempts caps per-cell attempts across transient failures,
-	// counting failed attempts recorded in the journal by any process
-	// (default 3).
-	MaxAttempts int
-	// RetryBackoff is the base delay between attempts at one cell; it
-	// doubles per attempt and is capped at 16x (default 100ms).
-	RetryBackoff time.Duration
-	// Owner overrides the lease owner id (default host:pid:nonce).
-	Owner string
 }
 
-func (o ExecOptions) withDefaults() ExecOptions {
-	if o.Parallelism <= 0 {
-		o.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if o.LeaseTTL <= 0 {
-		o.LeaseTTL = lease.DefaultTTL
-	}
-	if o.Heartbeat <= 0 {
-		o.Heartbeat = o.LeaseTTL / 4
-	}
-	if o.Poll <= 0 {
-		o.Poll = 200 * time.Millisecond
-	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 3
-	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 100 * time.Millisecond
-	}
-	return o
-}
+// maxAttempts caps the attempts at one cell within one ExecuteOpts call,
+// and retryBackoff is the delay before the second attempt, doubling per
+// attempt up to 16x. Tests override both, as they do simCellHook.
+var (
+	maxAttempts  = 3
+	retryBackoff = 100 * time.Millisecond
+)
 
 // ExecReport summarises one ExecuteOpts call.
 type ExecReport struct {
@@ -580,12 +546,6 @@ type ExecReport struct {
 	// Resumed counts cells skipped because the journal already recorded
 	// them done (with the result still present in the disk cache).
 	Resumed int
-	// External counts cells completed by another live process while this
-	// one waited.
-	External int
-	// Stolen counts expired leases this process took over from
-	// presumed-dead owners.
-	Stolen int
 	// Retries counts transient per-cell attempt retries.
 	Retries int
 	// Failed counts cells that exhausted their attempts.
@@ -596,116 +556,9 @@ type ExecReport struct {
 	// Sampled counts full-fidelity keys served by aliasing their sampled
 	// cell's result (see SweepPlan.Sample).
 	Sampled int
-	// JournalPath is the shared journal file ("" when executing without
+	// JournalPath is the plan's journal file ("" when executing without
 	// a persistent cache directory).
 	JournalPath string
-}
-
-// Cell execution states for the in-memory scoreboard.
-const (
-	cellPending = iota // free to claim
-	cellHeld           // lease held by another live process; revisit on poll
-	cellRunning        // claimed by this process
-	cellDone
-	cellFailed
-)
-
-// execState is the per-call scoreboard shared by this process's workers.
-type execState struct {
-	mu     sync.Mutex
-	status []int
-	// fails counts recorded failed attempts per cell, seeded from the
-	// journal so attempts are capped across processes and restarts.
-	fails []int
-	errs  []error
-	byKey map[string]int
-	rep   ExecReport
-}
-
-// apply folds journal records (replayed history or a live tail) into the
-// scoreboard. Done records from other processes flip cells this process
-// has not completed itself; claimed records are ignored — a claim proves
-// nothing about completion, and liveness is the lease's job.
-func (st *execState) apply(recs []lease.Record, owner string, resumed bool, confirm func(key string) bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for _, r := range recs {
-		i, ok := st.byKey[r.Key]
-		if !ok {
-			continue // a different (e.g. superset) plan shares the journal dir
-		}
-		switch r.Status {
-		case lease.StatusDone:
-			if st.status[i] == cellDone || st.status[i] == cellFailed {
-				continue
-			}
-			if confirm != nil && !confirm(r.Key) {
-				// Journal says done but the cache entry is gone (LRU
-				// eviction, operator rm): re-simulate.
-				continue
-			}
-			st.status[i] = cellDone
-			st.errs[i] = nil
-			if resumed {
-				st.rep.Resumed++
-			} else if r.Owner != owner {
-				st.rep.External++
-			}
-		case lease.StatusFailed:
-			st.fails[i]++
-		}
-	}
-}
-
-// next claims the first pending cell (plan order is longest-first), or
-// reports whether everything is settled.
-func (st *execState) next() (i int, settled bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	settled = true
-	for j, s := range st.status {
-		switch s {
-		case cellPending:
-			st.status[j] = cellRunning
-			return j, false
-		case cellHeld, cellRunning:
-			settled = false
-		}
-	}
-	return -1, settled
-}
-
-// releaseHeld flips every held-elsewhere cell back to pending so the
-// next claim attempt re-tests its lease (which may have expired or been
-// released).
-func (st *execState) releaseHeld() {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for j, s := range st.status {
-		if s == cellHeld {
-			st.status[j] = cellPending
-		}
-	}
-}
-
-func (st *execState) set(i, status int, err error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	// A poll may have marked the cell done from another process's journal
-	// record while this process was (redundantly) finishing it; done
-	// stays done.
-	if st.status[i] == cellDone && status != cellDone {
-		return
-	}
-	st.status[i] = status
-	st.errs[i] = err
-	switch status {
-	case cellDone:
-		st.errs[i] = nil
-		st.rep.Done++
-	case cellFailed:
-		st.rep.Failed++
-	}
 }
 
 // Execute simulates every planned cell once on one global worker pool,
@@ -716,31 +569,32 @@ func (p *SweepPlan) Execute(ctx context.Context, parallelism int) error {
 	return err
 }
 
-// ExecuteOpts simulates every planned cell, crash-safely and
-// multi-process-safely when the persistent run cache is configured:
+// ExecuteOpts simulates every planned cell on one worker pool,
+// longest-expected-job-first, crash-safely when the persistent run cache
+// is configured:
 //
-//   - Each cell is claimed through a heartbeat-refreshed lease file
-//     under <cachedir>/leases, so any number of processes (or hosts
-//     sharing the directory) can execute one plan without duplicating
-//     work; a worker that dies mid-cell is presumed dead after LeaseTTL
-//     and its cells are taken over.
-//   - Progress is journaled to an append-only JSONL file under
-//     <cachedir>/sweeps keyed by the plan hash. A fresh process resumes
-//     an interrupted sweep by replaying the journal and skipping cells
-//     whose results are already durable; Fresh discards the history.
-//   - Transient cell failures retry with capped exponential backoff,
-//     with attempts counted across processes through the journal.
+//   - Progress is journaled to an append-only JSONL file,
+//     <cachedir>/sweeps/<planhash>.jsonl, and the call holds an exclusive
+//     lock on it throughout (see lease.OpenJournal), so one call at a
+//     time executes a plan: a second call on the same plan, in this
+//     process or another, waits for the first to finish and then
+//     resumes. The kernel drops the lock when its holder dies.
+//   - A call resumes an interrupted sweep by replaying the journal and
+//     skipping cells whose results are already durable; Fresh discards
+//     the history.
+//   - Transient cell failures retry with capped exponential backoff, up
+//     to maxAttempts attempts per cell in each call.
 //   - Cancellation is distinct from failure: when ctx is cancelled the
-//     call stops claiming cells, interrupts in-flight simulations within
-//     one watchdog epoch, releases its leases, and returns ctx.Err()
-//     itself — not joined into cell errors — leaving the journal in a
-//     state a later call (or process) resumes from.
+//     call stops starting cells, interrupts in-flight simulations within
+//     one watchdog epoch, and returns ctx.Err() itself — not joined into
+//     cell errors — leaving the journal in a state a later call (or
+//     process) resumes from. A call still waiting for the lock returns
+//     ctx.Err() having run nothing.
 //
-// Without a cache directory the same loop runs in-process only: no
-// leases, no journal, nothing durable. Results land in the run cache
-// (and its persistent tier when configured); cells already cached are
-// near-free hits. Cell failures are joined, not fatal mid-sweep: every
-// cell is attempted.
+// Without a cache directory the same pool runs with no journal and
+// nothing durable. Results land in the run cache (and its persistent
+// tier when configured); cells already cached are near-free hits. Cell
+// failures are joined, not fatal mid-sweep: every cell is attempted.
 func (p *SweepPlan) ExecuteOpts(ctx context.Context, opts ExecOptions) (*ExecReport, error) {
 	if !RunCaching() {
 		return nil, errors.New("profess: Execute needs the run cache (SetRunCaching(true))")
@@ -748,86 +602,42 @@ func (p *SweepPlan) ExecuteOpts(ctx context.Context, opts ExecOptions) (*ExecRep
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	opts = opts.withDefaults()
 	n := len(p.Cells)
-
-	st := &execState{
-		status: make([]int, n),
-		fails:  make([]int, n),
-		errs:   make([]error, n),
-		byKey:  make(map[string]int, n),
-	}
-	st.rep.Cells = n
+	rep := &ExecReport{Cells: n}
+	index := make(map[string]int, n)
 	for i, c := range p.Cells {
-		st.byKey[c.Key] = i
+		index[c.Key] = i
 	}
+	done := make([]bool, n)
 
-	// Durable coordination state, engaged when the persistent tier is
-	// configured.
-	var (
-		mgr     *lease.Manager
-		jnl     *lease.Journal
-		doneKey = make([]string, 0, n)
-	)
+	var jnl *lease.Journal
 	if dir := RunCacheDir(); dir != "" && n > 0 {
 		sweepDir := filepath.Join(dir, "sweeps")
 		if err := os.MkdirAll(sweepDir, 0o755); err != nil {
 			return nil, fmt.Errorf("profess: sweep journal dir: %w", err)
 		}
 		jpath := filepath.Join(sweepDir, p.Hash()+".jsonl")
-		if opts.Fresh {
-			if err := os.Remove(jpath); err != nil && !errors.Is(err, fs.ErrNotExist) {
-				return nil, fmt.Errorf("profess: discard journal: %w", err)
-			}
-		}
 		var err error
-		mgr, err = lease.NewManager(lease.Options{
-			Dir:       filepath.Join(dir, "leases"),
-			Owner:     opts.Owner,
-			Plan:      p.Hash(),
-			TTL:       opts.LeaseTTL,
-			Heartbeat: opts.Heartbeat,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("profess: lease manager: %w", err)
-		}
-		defer mgr.Close()
-		jnl, err = lease.OpenJournal(jpath)
-		if err != nil {
+		if jnl, err = lease.OpenJournal(ctx, jpath, opts.Fresh); err != nil {
+			if ctx.Err() != nil {
+				return rep, ctx.Err()
+			}
 			return nil, fmt.Errorf("profess: sweep journal: %w", err)
 		}
 		defer jnl.Close()
-		st.rep.JournalPath = jpath
+		rep.JournalPath = jpath
 
-		// Resume: replay the whole journal. Only done records whose
-		// results are still present in the disk cache are trusted.
-		recs, err := jnl.Tail()
+		// Resume: only done records whose results are still in the disk
+		// cache are trusted; an entry may have been evicted or removed.
+		recs, err := lease.ReadJournal(jpath)
 		if err != nil {
 			return nil, fmt.Errorf("profess: journal replay: %w", err)
 		}
-		st.apply(recs, mgr.Owner(), true, theDiskCache.has)
-	}
-
-	// poll refreshes the scoreboard from other processes' journal
-	// records and re-opens held cells for claiming.
-	poll := func() {
-		if jnl != nil {
-			if recs, err := jnl.Tail(); err == nil {
-				st.apply(recs, mgr.Owner(), false, theDiskCache.has)
+		for _, r := range recs {
+			if i, ok := index[r.Key]; ok && r.Status == lease.StatusDone && !done[i] && theDiskCache.has(r.Key) {
+				done[i] = true
+				rep.Resumed++
 			}
-		}
-		st.releaseHeld()
-	}
-
-	// sleep waits d or until cancellation.
-	sleep := func(d time.Duration) bool {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		select {
-		case <-ctx.Done():
-			return false
-		case <-t.C:
-			return true
 		}
 	}
 
@@ -835,7 +645,7 @@ func (p *SweepPlan) ExecuteOpts(ctx context.Context, opts ExecOptions) (*ExecRep
 		if jnl == nil {
 			return
 		}
-		rec := lease.Record{Key: p.Cells[i].Key, Status: status, Owner: mgr.Owner(), Attempt: attempt}
+		rec := lease.Record{Key: p.Cells[i].Key, Status: status, Attempt: attempt}
 		if err != nil {
 			rec.Err = err.Error()
 		}
@@ -858,84 +668,53 @@ func (p *SweepPlan) ExecuteOpts(ctx context.Context, opts ExecOptions) (*ExecRep
 		return nil
 	}
 
-	// attemptCell drives one claimed cell through its bounded retries.
-	attemptCell := func(wctx context.Context, i int) {
-		var l *lease.Lease
-		if mgr != nil {
-			var err error
-			l, err = mgr.Acquire(p.Cells[i].Key)
-			if errors.Is(err, lease.ErrHeld) {
-				st.set(i, cellHeld, nil)
-				return
-			}
-			if err != nil {
-				// Lease machinery broken (permissions, disk full):
-				// degrade to uncoordinated execution rather than
-				// wedging the sweep; the run cache keeps it correct.
-				l = nil
-			} else {
-				if l.Stolen() {
-					st.mu.Lock()
-					st.rep.Stolen++
-					st.mu.Unlock()
-				}
-				defer l.Release()
-			}
-		}
-		st.mu.Lock()
-		attempt := st.fails[i]
-		st.mu.Unlock()
-		var lastErr error
-		first := true
-		for ; attempt < opts.MaxAttempts; attempt++ {
-			if ctx.Err() != nil {
-				// Leave no terminal record: the claim stays dangling in
-				// the journal and resume re-runs the cell.
-				st.set(i, cellPending, nil)
-				return
-			}
-			if !first {
-				st.mu.Lock()
-				st.rep.Retries++
-				st.mu.Unlock()
-				backoff := opts.RetryBackoff << (attempt - 1)
-				if max := opts.RetryBackoff << 4; backoff > max {
-					backoff = max
-				}
-				if !sleep(backoff) {
-					st.set(i, cellPending, nil)
-					return
+	// attempt drives cell i through at most maxAttempts attempts and
+	// returns the retries it took and the last error, ctx.Err() once
+	// cancelled.
+	attempt := func(wctx context.Context, i int) (retries int, err error) {
+		for a := 0; a < maxAttempts; a++ {
+			if a > 0 {
+				retries++
+				t := time.NewTimer(min(retryBackoff<<(a-1), retryBackoff<<4))
+				select {
+				case <-ctx.Done():
+					t.Stop()
+					return retries, ctx.Err()
+				case <-t.C:
 				}
 			}
-			first = false
-			journal(i, lease.StatusClaimed, attempt, nil)
-			err := runCell(wctx, i)
-			if err == nil {
-				journal(i, lease.StatusDone, attempt, nil)
-				st.set(i, cellDone, nil)
-				return
+			journal(i, lease.StatusClaimed, a, nil)
+			if err = runCell(wctx, i); err == nil {
+				journal(i, lease.StatusDone, a, nil)
+				return retries, nil
 			}
 			if ctx.Err() != nil {
-				// The failure is (or is masked by) cancellation; resume
-				// will retry with a live context.
-				st.set(i, cellPending, nil)
-				return
+				// The failure is (or is masked by) cancellation: no
+				// terminal record, so resume re-runs the cell.
+				return retries, ctx.Err()
 			}
-			lastErr = err
-			journal(i, lease.StatusFailed, attempt, err)
-			st.mu.Lock()
-			st.fails[i]++
-			st.mu.Unlock()
+			journal(i, lease.StatusFailed, a, err)
 		}
-		st.set(i, cellFailed, lastErr)
+		return retries, err
 	}
 
-	workers := opts.Parallelism
-	if workers > n {
-		workers = n
+	var todo []int
+	for i := range p.Cells {
+		if !done[i] {
+			todo = append(todo, i)
+		}
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	workers := opts.Parallelism
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	var (
+		wg   sync.WaitGroup
+		mu   sync.Mutex // guards rep, done and errs while workers run
+		next atomic.Int64
+		errs = make([]error, n)
+	)
+	for w := 0; w < min(workers, len(todo)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -943,128 +722,68 @@ func (p *SweepPlan) ExecuteOpts(ctx context.Context, opts ExecOptions) (*ExecRep
 			// worker executes reuse one cached machine per structural
 			// shape, with no cross-worker synchronisation.
 			wctx := withWorkerArena(ctx)
-			for {
-				// The cancellation check precedes the claim, so a
-				// cancelled worker never marks a cell running (or
-				// journals a claim) it will not attempt.
-				if ctx.Err() != nil {
+			// The cancellation check precedes taking a cell, so a
+			// cancelled worker never journals a claim it will not attempt.
+			for ctx.Err() == nil {
+				k := int(next.Add(1)) - 1
+				if k >= len(todo) {
 					return
 				}
-				i, settled := st.next()
-				if i < 0 {
-					if settled {
-						return
-					}
-					// Everything unfinished is held by another process
-					// (or running locally): wait, absorb their journal
-					// records, retest leases.
-					if !sleep(opts.Poll) {
-						return
-					}
-					poll()
-					continue
+				i := todo[k]
+				retries, err := attempt(wctx, i)
+				mu.Lock()
+				rep.Retries += retries
+				switch {
+				case err == nil:
+					done[i] = true
+					rep.Done++
+				case ctx.Err() == nil:
+					errs[i] = err
+					rep.Failed++
 				}
-				attemptCell(wctx, i)
+				mu.Unlock()
 			}
 		}()
 	}
 	wg.Wait()
 
-	// Serve sampled cells: alias each original full-fidelity key to its
-	// sampled cell's completed result in the in-process cache tier, so the
-	// render phase — which asks for the full-fidelity keys — reads the
-	// sampled figures without simulating. A sampled cell that did not
-	// complete leaves its full key unaliased and the render phase
-	// simulates it at full fidelity — slower, but never wrong.
-	if len(p.Sampled) > 0 && ctx.Err() == nil {
-		byKey := make(map[string]*PlanCell, len(p.Cells))
-		for i := range p.Cells {
-			byKey[p.Cells[i].Key] = &p.Cells[i]
+	// Serve sampled and pruned cells: alias each original full-fidelity
+	// key to its sampled cell's completed result, and each pruned key to
+	// its representative's, in the in-process cache tier, so the render
+	// phase, which asks for those keys, reads the served figures without
+	// simulating. When the serving cell did not complete (failure,
+	// cancellation) the alias is skipped and the render phase simulates
+	// the key at full fidelity — slower, but never wrong.
+	serve := func(alias, key string) bool {
+		i, ok := index[key]
+		if !ok || !done[i] {
+			return false
 		}
-		for _, sc := range p.Sampled {
-			cell := byKey[sc.Key]
-			if cell == nil {
-				continue
-			}
-			st.mu.Lock()
-			i, ok := st.byKey[sc.Key]
-			done := ok && st.status[i] == cellDone
-			st.mu.Unlock()
-			if !done {
-				continue
-			}
-			res, err := runSimCtx(ctx, cell.Cfg, cell.Specs, cell.Scheme)
-			if err != nil {
-				continue // the sampled cell's own failure surfaces below
-			}
-			theRunCache.installAlias(sc.FullKey, res)
-			st.mu.Lock()
-			st.rep.Sampled++
-			st.mu.Unlock()
+		c := &p.Cells[i]
+		res, err := runSimCtx(ctx, c.Cfg, c.Specs, c.Scheme)
+		if err != nil {
+			return false // the serving cell's own failure surfaces below
 		}
+		theRunCache.installAlias(alias, res)
+		return true
 	}
-
-	// Serve pruned cells: alias each to its representative's completed
-	// result in the in-process cache tier, so the render phase reads the
-	// representative's figures under the pruned key without simulating.
-	// When the representative did not complete (failure, cancellation)
-	// the alias is skipped and the render phase simulates the pruned
-	// cell for real — slower, but never wrong.
-	if len(p.Pruned) > 0 && ctx.Err() == nil {
-		byKey := make(map[string]*PlanCell, len(p.Cells))
-		for i := range p.Cells {
-			byKey[p.Cells[i].Key] = &p.Cells[i]
+	if ctx.Err() == nil {
+		for _, sc := range p.Sampled {
+			if serve(sc.FullKey, sc.Key) {
+				rep.Sampled++
+			}
 		}
 		for _, pr := range p.Pruned {
-			repCell := byKey[pr.RepKey]
-			if repCell == nil {
-				continue
+			if serve(pr.Key, pr.RepKey) {
+				rep.Pruned++
 			}
-			st.mu.Lock()
-			i, ok := st.byKey[pr.RepKey]
-			repDone := ok && st.status[i] == cellDone
-			st.mu.Unlock()
-			if !repDone {
-				continue
-			}
-			res, err := runSimCtx(ctx, repCell.Cfg, repCell.Specs, repCell.Scheme)
-			if err != nil {
-				continue // the representative's own failure surfaces below
-			}
-			theRunCache.installAlias(pr.Key, res)
-			st.mu.Lock()
-			st.rep.Pruned++
-			st.mu.Unlock()
 		}
-	}
-
-	st.mu.Lock()
-	rep := st.rep
-	var errs []error
-	for i, s := range st.status {
-		if s == cellFailed && st.errs[i] != nil {
-			errs = append(errs, st.errs[i])
-		}
-		if s == cellDone {
-			doneKey = append(doneKey, p.Cells[i].Key)
-		}
-	}
-	st.mu.Unlock()
-
-	if mgr != nil {
-		// End-of-sweep hygiene: drop lease files for cells the journal
-		// proves complete (left by owners killed between completion and
-		// release, or by stragglers re-verifying finished cells) plus
-		// any expired leases and takeover temporaries. Live claims of
-		// unfinished cells are untouched.
-		lease.RemoveKeys(filepath.Join(RunCacheDir(), "leases"), doneKey)
-		lease.SweepExpired(filepath.Join(RunCacheDir(), "leases"), opts.LeaseTTL)
 	}
 
 	// Cancellation is reported alone: callers distinguish "the user
 	// stopped the sweep" (resume later) from "cells failed".
 	if err := ctx.Err(); err != nil {
-		return &rep, err
+		return rep, err
 	}
-	return &rep, errors.Join(errs...)
+	return rep, errors.Join(errs...)
 }
