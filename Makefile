@@ -1,6 +1,7 @@
 # Tier-1+ verification gate. `make check` is the bar every change must
 # clear before merging: vet, gofmt over every tracked Go file, full build,
-# and the test suite under the race detector.
+# the test suite under the race detector, and the arm64 fused
+# multiply-add check.
 
 GO ?= go
 
@@ -10,7 +11,7 @@ COVER_MIN ?= 70
 # How long each fuzz target runs in `make fuzz-smoke`.
 FUZZTIME ?= 10s
 
-.PHONY: check vet fmt-check build test test-race bench bench-smoke sweep-smoke chaos-smoke xval-smoke shard-smoke arena-smoke sample-smoke perfbench-check quick cover fuzz-smoke
+.PHONY: check vet fmt-check fma-check build test test-race bench bench-smoke sweep-smoke chaos-smoke xval-smoke shard-smoke arena-smoke sample-smoke perfbench-check quick cover fuzz-smoke
 
 # Minimum statement coverage (percent) for internal/analytic, enforced by
 # `make xval-smoke`: the closed-form tier is only trustworthy while its
@@ -23,7 +24,7 @@ SWEEP_EXPS ?= fig2,fig5,fig10,fig16
 SWEEP_INSTR ?= 200000
 SWEEP_WORKLOADS ?= w09,w16,w19
 
-check: vet fmt-check build test-race
+check: vet fmt-check build test-race fma-check
 
 vet:
 	$(GO) vet ./...
@@ -35,6 +36,27 @@ fmt-check:
 
 build:
 	$(GO) build ./...
+
+# fma-check keeps simulated results the same on every architecture. Go
+# may fuse a float multiply and add into one instruction that skips the
+# product's rounding: amd64 never does, arm64 does, so an arm64 host could
+# make different decisions from the same seed. An explicit float64(...)
+# around the product prevents it. The check cross-compiles professbench
+# for arm64 (offline: the module has no dependencies) and fails on any
+# FMADD, FMSUB, FNMADD or FNMSUB in a profess/internal/... function.
+# internal/analytic (an estimate that only steers pruning) and the root
+# package's experiment code are still fused; ROADMAP item 1 lists them.
+fma-check:
+	@mkdir -p bin
+	GOOS=linux GOARCH=arm64 $(GO) build -o bin/professbench-arm64 ./cmd/professbench
+	@$(GO) tool objdump bin/professbench-arm64 | awk ' \
+		/^TEXT / { fn = $$2; next } \
+		fn ~ /^profess\/internal\// && fn !~ /^profess\/internal\/analytic\./ && \
+			/[[:space:]]F(N)?M(ADD|SUB)[DS][[:space:]]/ { print "fused:", fn, $$1; n++ } \
+		END { \
+			if (n) { print n " fused multiply-add(s) in profess/internal on arm64"; exit 1 } \
+			print "fma-check: no fused multiply-adds in profess/internal on arm64" \
+		}'
 
 test:
 	$(GO) test ./...
@@ -144,7 +166,7 @@ shard-smoke:
 # tables, so it can never be byte-compared across runs.
 ARENA_EXPS ?= fig5
 ARENA_INSTR ?= 100000
-ARENA_ALLOC_BUDGET ?= 2500
+ARENA_ALLOC_BUDGET ?= 600
 arena-smoke:
 	$(GO) test -race -count=1 -run 'TestArena' ./internal/sim
 	$(GO) build -o bin/professbench ./cmd/professbench

@@ -1,7 +1,10 @@
 // Package cache implements the set-associative, write-back, write-allocate
-// LRU cache used for the shared L3 in the simulated system (Table 8) and
-// reused by tests as a reference model for cache-like structures.
+// LRU cache used for the shared L3 in the simulated system (Table 8), and
+// Recency, the constant-time per-set LRU order by which both the L3 and
+// the hybrid controller's Swap-group Table Cache choose their victims.
 package cache
+
+import "math/bits"
 
 // Eviction describes a victim line pushed out by an allocation.
 type Eviction struct {
@@ -29,41 +32,83 @@ func ConfigForCapacity(capacity int64, ways int) Config {
 	return c
 }
 
+// MaxWays bounds the associativity of a Recency order, and so of a Cache:
+// the order is one 64-bit word of 4-bit way indices.
+const MaxWays = 16
+
+// Recency is one set's LRU replacement order over up to MaxWays ways. Each
+// 4-bit nibble holds a way index: the most recently used way in nibble 0,
+// the least recently used in nibble ways-1, and zeros above. A miss reads
+// its victim off the top nibble and a hit moves its way to the front, both
+// in constant time, where per-way access stamps need a scan of every way.
+//
+// The order of the valid ways is exactly their order by last access.
+// Empty ways are never touched until they are filled, so they stay at the
+// LRU end in index order and a fill always takes the lowest-indexed empty
+// way: the same victims as a stamp scan that prefers the first empty way.
+// That holds only while no valid way is ever emptied again, which is why
+// neither the L3 nor the STC invalidates single lines; emptying a whole
+// set goes back to NewRecency.
+type Recency uint64
+
+// nibbles has a 1 in every nibble; times a way index, it broadcasts the
+// index to all sixteen.
+const nibbles = 0x1111111111111111
+
+// NewRecency returns the order of a set whose ways are all empty: way 0
+// at the LRU end, then way 1, and so on up to way ways-1 at the front.
+func NewRecency(ways int) Recency {
+	var r Recency
+	for w := 0; w < ways; w++ {
+		r = r<<4 | Recency(w)
+	}
+	return r
+}
+
+// Evict returns the least recently used of the set's ways, the victim of
+// a fill, and the order with that way made the most recently used.
+func (r Recency) Evict(ways int) (int, Recency) {
+	top := 4 * uint(ways-1)
+	victim := r >> top & 0xF
+	return int(victim), (r&^(0xF<<top))<<4 | victim
+}
+
+// Touch returns the order with way made the most recently used; the ways
+// that were more recent than it each move back one place.
+func (r Recency) Touch(way int) Recency {
+	// XOR with the broadcast index zeroes way's nibble. The has-zero test
+	// below marks the lowest zero nibble exactly (its borrow can only add
+	// false marks above a true zero), and the unused zero nibbles above
+	// the set's ways lie above way 0's real place.
+	x := uint64(r) ^ uint64(way)*nibbles
+	z := (x - nibbles) &^ x & (nibbles << 3)
+	shift := uint(bits.TrailingZeros64(z)) &^ 3
+	below := uint64(1)<<shift - 1
+	return Recency(uint64(r)&^(below<<4|0xF) | (uint64(r)&below)<<4 | uint64(way))
+}
+
 // invalidTag marks an empty way. Byte addresses are non-negative, so real
 // tags are too and can never match it.
 const invalidTag int64 = -1
 
-// mru is the per-set most-recently-used memo: the way index the set's last
-// hit landed in, plus the tag it held. Re-referencing the same line — the
-// overwhelmingly common pattern under spatial locality — then skips the
-// associative way scan entirely. Purely an accelerator: it caches a (tag,
-// way) pair the line state also holds, so behaviour is identical with or
-// without it.
-type mru struct {
-	tag int64
-	way int32
-	ok  bool
-}
-
-// way is one line's scan state: its tag and LRU stamp, kept adjacent so
-// the associative scan walks one contiguous 16-byte-per-way stream.
-type way struct {
-	tag int64 // invalidTag = empty way
-	lru int64 // larger = more recent
+// setState is one set's replacement order and dirty mask (bit i = way i
+// is dirty), kept together so an access touches one small record besides
+// the tags.
+type setState struct {
+	order Recency
+	dirty uint16
 }
 
 // Cache is a single-level cache model. Not safe for concurrent use.
 //
-// Line state is stored as a set-major (tag, lru) array plus a per-set
-// dirty bitmask — half the bytes per way of a naive line struct — because
-// the simulator's L3 lookup is hot enough on both the event-driven and the
-// fast-forward path for the scan footprint to matter.
+// Line state is a set-major tag array, 8 B per way, which is all the
+// associative hit scan reads, plus one setState per set. The L3 lookup is
+// hot on both the event-driven and the fast-forward path, so the bytes
+// an access touches are what its cost is.
 type Cache struct {
-	cfg   Config
-	ways  []way    // Sets*Ways entries, set-major
-	dirty []uint64 // one mask per set, bit i = way i is dirty
-	mrus  []mru    // Sets entries, the per-set hit memo
-	clock int64
+	cfg  Config
+	tags []int64    // Sets*Ways entries, set-major; invalidTag = empty
+	sets []setState // Sets entries
 
 	// Fast-path indexing: line and set arithmetic reduce to shifts and
 	// masks when the respective dimension is a power of two (the common
@@ -96,37 +141,35 @@ func New(cfg Config) *Cache {
 	if cfg.Sets <= 0 || cfg.Ways <= 0 || cfg.LineBytes <= 0 {
 		panic("cache: invalid config")
 	}
-	if cfg.Ways > 64 {
-		panic("cache: more than 64 ways is unsupported (dirtiness is a per-set bitmask)")
+	if cfg.Ways > MaxWays {
+		panic("cache: more than 16 ways is unsupported (a set's LRU order is one 64-bit word)")
 	}
 	c := &Cache{
 		cfg:       cfg,
-		ways:      make([]way, cfg.Sets*cfg.Ways),
-		dirty:     make([]uint64, cfg.Sets),
-		mrus:      make([]mru, cfg.Sets),
+		tags:      make([]int64, cfg.Sets*cfg.Ways),
+		sets:      make([]setState, cfg.Sets),
 		lineShift: log2(cfg.LineBytes),
 		setShift:  log2(int64(cfg.Sets)),
 		setMask:   int64(cfg.Sets) - 1,
 	}
-	for i := range c.ways {
-		c.ways[i].tag = invalidTag
-	}
+	c.Reset()
 	return c
 }
 
 // Config returns the cache configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-// Reset invalidates every line and zeroes the LRU clock and hit/miss/
-// writeback counters, returning the cache to its just-built state without
-// reallocating the line arrays.
+// Reset empties every line and zeroes the hit/miss/writeback counters,
+// returning the cache to its just-built state without reallocating the
+// line arrays.
 func (c *Cache) Reset() {
-	for i := range c.ways {
-		c.ways[i] = way{tag: invalidTag}
+	for i := range c.tags {
+		c.tags[i] = invalidTag
 	}
-	clear(c.dirty)
-	clear(c.mrus)
-	c.clock = 0
+	empty := NewRecency(c.cfg.Ways)
+	for i := range c.sets {
+		c.sets[i] = setState{order: empty}
+	}
 	c.Hits, c.Misses, c.Writebacks = 0, 0, 0
 }
 
@@ -150,66 +193,41 @@ func (c *Cache) index(addr int64) (int, int64) {
 }
 
 // Access looks up addr, allocating on miss. It returns whether the access
-// hit and, on miss, whether a dirty victim was evicted (ev.Addr is the
-// victim's address). Write hits and write allocations mark the line dirty.
+// hit and, on miss, whether a valid victim was evicted (ev.Addr is the
+// victim's address, ev.Dirty whether it needs a writeback). Write hits and
+// write allocations mark the line dirty.
 func (c *Cache) Access(addr int64, write bool) (hit bool, ev Eviction, evicted bool) {
 	set, tag := c.index(addr)
+	s := &c.sets[set]
 	base := set * c.cfg.Ways
-	c.clock++
-	if m := &c.mrus[set]; m.ok && m.tag == tag {
-		c.ways[base+int(m.way)].lru = c.clock
-		if write {
-			c.dirty[set] |= 1 << uint(m.way)
-		}
-		c.Hits++
-		return true, Eviction{}, false
-	}
-	ways := c.ways[base : base+c.cfg.Ways : base+c.cfg.Ways]
-	// One pass finds the matching way and, in case of a miss, the victim:
-	// the first invalid way if any, else the least-recently-used way
-	// (first occurrence on ties).
-	firstInvalid, minIdx := -1, -1
-	for i := range ways {
-		t := ways[i].tag
+	tags := c.tags[base : base+c.cfg.Ways : base+c.cfg.Ways]
+	for i, t := range tags {
 		if t == tag {
-			ways[i].lru = c.clock
+			s.order = s.order.Touch(i)
 			if write {
-				c.dirty[set] |= 1 << uint(i)
+				s.dirty |= 1 << uint(i)
 			}
-			c.mrus[set] = mru{tag: tag, way: int32(i), ok: true}
 			c.Hits++
 			return true, Eviction{}, false
 		}
-		if t == invalidTag {
-			if firstInvalid < 0 {
-				firstInvalid = i
-			}
-			continue
-		}
-		if minIdx < 0 || ways[i].lru < ways[minIdx].lru {
-			minIdx = i
-		}
 	}
 	c.Misses++
-	victim := firstInvalid
-	if victim < 0 {
-		victim = minIdx
+	victim, order := s.order.Evict(c.cfg.Ways)
+	s.order = order
+	bit := uint16(1) << uint(victim)
+	if old := tags[victim]; old != invalidTag {
 		evicted = true
-		ev = Eviction{Addr: c.lineAddrToByte(set, ways[victim].tag), Dirty: c.dirty[set]&(1<<uint(victim)) != 0}
+		ev = Eviction{Addr: c.lineAddrToByte(set, old), Dirty: s.dirty&bit != 0}
 		if ev.Dirty {
 			c.Writebacks++
 		}
 	}
-	vbit := uint64(1) << uint(victim)
-	ways[victim] = way{tag: tag, lru: c.clock}
+	tags[victim] = tag
 	if write {
-		c.dirty[set] |= vbit
+		s.dirty |= bit
 	} else {
-		c.dirty[set] &^= vbit
+		s.dirty &^= bit
 	}
-	// Point the memo at the fill: it is the set's MRU line, and this also
-	// retires any memo entry whose tag was just evicted from the set.
-	c.mrus[set] = mru{tag: tag, way: int32(victim), ok: true}
 	return false, ev, evicted
 }
 
@@ -217,32 +235,12 @@ func (c *Cache) Access(addr int64, write bool) (hit bool, ev Eviction, evicted b
 func (c *Cache) Probe(addr int64) bool {
 	set, tag := c.index(addr)
 	base := set * c.cfg.Ways
-	for _, w := range c.ways[base : base+c.cfg.Ways] {
-		if w.tag == tag {
+	for _, t := range c.tags[base : base+c.cfg.Ways] {
+		if t == tag {
 			return true
 		}
 	}
 	return false
-}
-
-// Invalidate drops addr's line if resident, returning whether it was dirty.
-func (c *Cache) Invalidate(addr int64) (present, dirty bool) {
-	set, tag := c.index(addr)
-	base := set * c.cfg.Ways
-	ways := c.ways[base : base+c.cfg.Ways]
-	for i := range ways {
-		if ways[i].tag == tag {
-			bit := uint64(1) << uint(i)
-			d := c.dirty[set]&bit != 0
-			ways[i].tag = invalidTag
-			c.dirty[set] &^= bit
-			if c.mrus[set].tag == tag {
-				c.mrus[set].ok = false
-			}
-			return true, d
-		}
-	}
-	return false, false
 }
 
 // HitRate returns hits/(hits+misses), or 0 before any access.

@@ -80,22 +80,6 @@ func TestWriteHitMarksDirty(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := small()
-	c.Access(0, true)
-	present, dirty := c.Invalidate(0)
-	if !present || !dirty {
-		t.Errorf("Invalidate = %v %v", present, dirty)
-	}
-	if c.Probe(0) {
-		t.Error("line should be gone")
-	}
-	present, _ = c.Invalidate(0)
-	if present {
-		t.Error("double invalidate should report absent")
-	}
-}
-
 func TestConfigForCapacity(t *testing.T) {
 	cfg := ConfigForCapacity(256<<10, 16)
 	c := New(cfg)
@@ -112,12 +96,16 @@ func TestConfigForCapacity(t *testing.T) {
 }
 
 func TestInvalidConfigPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	New(Config{})
+	for _, cfg := range []Config{{}, {Sets: 4, Ways: MaxWays + 1, LineBytes: 64}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(%+v): expected panic", cfg)
+				}
+			}()
+			New(cfg)
+		}()
+	}
 }
 
 func TestResidencyBoundProperty(t *testing.T) {

@@ -221,7 +221,7 @@ func (p *mdmProgram) recompute() {
 		for qE := 1; qE <= hybrid.NumQE; qE++ {
 			// eq. 7 with Laplace smoothing: (n+1)/(N+num_qE).
 			pTrans := (p.numQ[qI][qE] + 1) / (p.numQSumE[qI] + float64(hybrid.NumQE))
-			e += avgCnt[qE] * pTrans // eq. 5
+			e += float64(avgCnt[qE] * pTrans) // eq. 5; float64 stops arm64 fusing it
 		}
 		p.expCnt[qI] = e
 	}

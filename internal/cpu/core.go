@@ -294,9 +294,11 @@ func (c *Core) EndFastForward() {
 // the paced clock after the reference's compute gap. The sampled run loop
 // advances cores in global FFTime order, so the memory system sees the
 // interleaved access stream in time order and channel state (occupancy,
-// open rows, wear) warms from a realistic arrival pattern.
+// open rows, wear) warms from a realistic arrival pattern. The paced
+// clock's products are rounded by float64(...) so that arm64 cannot fuse
+// them into the sum (`make fma-check`).
 func (c *Core) FFTime() int64 {
-	return int64(c.ff.clock + c.ff.pace*float64(c.pending.Gap))
+	return int64(c.ff.clock + float64(c.ff.pace*float64(c.pending.Gap)))
 }
 
 // FFStep functionally issues the pending reference through mem and fetches
@@ -337,7 +339,7 @@ func (c *Core) FFRun(mem FunctionalMemory, until int64, remaining *int) (int64, 
 		c.instr += int64(ref.Gap) + 1
 		c.runInstr += int64(ref.Gap) + 1
 		mem(c.id, c.translate(ref.VAddr), ref.Write, issue)
-		c.ff.clock += c.ff.pace * float64(ref.Gap+1)
+		c.ff.clock += float64(c.ff.pace * float64(ref.Gap+1))
 		c.hasPending = false
 		c.ffFetch(issue)
 		n++

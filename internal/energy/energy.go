@@ -75,12 +75,14 @@ func (r Report) Efficiency() float64 {
 // Evaluate folds channel event counts and elapsed cycles into a Report.
 // channels is the number of channels contributing background power.
 func (m Model) Evaluate(counts mem.EventCounts, cycles int64, channels int) Report {
+	// float64(...) rounds each product so that arm64 cannot fuse it into
+	// the sum (`make fma-check`).
 	var dyn float64 // nanojoules
 	for k := 0; k < 2; k++ {
-		dyn += float64(counts.Activates[k]) * m.ActivateNJ[k]
-		dyn += float64(counts.Reads[k]+counts.SwapReads[k]) * m.ReadNJ[k]
-		dyn += float64(counts.Writes[k]+counts.SwapWrites[k]) * m.WriteNJ[k]
-		dyn += float64(counts.Refreshes[k]) * m.RefreshNJ[k]
+		dyn += float64(float64(counts.Activates[k]) * m.ActivateNJ[k])
+		dyn += float64(float64(counts.Reads[k]+counts.SwapReads[k]) * m.ReadNJ[k])
+		dyn += float64(float64(counts.Writes[k]+counts.SwapWrites[k]) * m.WriteNJ[k])
+		dyn += float64(float64(counts.Refreshes[k]) * m.RefreshNJ[k])
 	}
 	secs := float64(cycles) / (mem.CyclesPerNs * 1e9)
 	bgW := (m.BackgroundW[mem.M1] + m.BackgroundW[mem.M2]) * float64(channels)

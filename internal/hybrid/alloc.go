@@ -47,10 +47,44 @@ func NewAllocator(l Layout, numPrograms int, seed uint64) (*Allocator, error) {
 	for i := range a.owner {
 		a.owner[i] = -1
 	}
+	// Every region's free list is carved, at its exact length, from one
+	// array of all the page frames, so filling the lists allocates once.
+	// Grown page by page, they would be reallocated at every doubling:
+	// half of what building a machine allocates, in hundreds of objects.
+	n := l.TotalPages()
+	counts := make([]int, l.Regions)
+	for w := l.walkPages(); w.page < n; w.next() {
+		counts[w.region]++
+	}
+	free := make([]int64, n)
 	a.freeByRegion = make([][]int64, l.Regions)
-	for p := int64(0); p < l.TotalPages(); p++ {
-		r := l.PageRegion(p)
-		a.freeByRegion[r] = append(a.freeByRegion[r], p)
+	for r, c := range counts {
+		a.freeByRegion[r], free = free[:0:c], free[c:]
+	}
+	a.shuffle(seed)
+	a.allowed = make([][]int, numPrograms)
+	a.rr = make([]int, numPrograms)
+	for c := 0; c < numPrograms; c++ {
+		regions := make([]int, 0, 1+l.Regions-numPrograms)
+		regions = append(regions, c) // own private region
+		for r := numPrograms; r < l.Regions; r++ {
+			regions = append(regions, r) // all shared regions
+		}
+		a.allowed[c] = regions
+	}
+	return a, nil
+}
+
+// shuffle refills every region's free list with its page frames in page
+// order and shuffles the lists with one rng shared across regions,
+// regions visited in index order.
+func (a *Allocator) shuffle(seed uint64) {
+	for r := range a.freeByRegion {
+		a.freeByRegion[r] = a.freeByRegion[r][:0]
+	}
+	l := a.layout
+	for w, n := l.walkPages(), l.TotalPages(); w.page < n; w.next() {
+		a.freeByRegion[w.region] = append(a.freeByRegion[w.region], w.page)
 	}
 	rng := xrand.New(seed)
 	for r := range a.freeByRegion {
@@ -60,23 +94,12 @@ func NewAllocator(l Layout, numPrograms int, seed uint64) (*Allocator, error) {
 			pages[i], pages[j] = pages[j], pages[i]
 		}
 	}
-	a.allowed = make([][]int, numPrograms)
-	a.rr = make([]int, numPrograms)
-	for c := 0; c < numPrograms; c++ {
-		regions := []int{c} // own private region
-		for r := numPrograms; r < l.Regions; r++ {
-			regions = append(regions, r) // all shared regions
-		}
-		a.allowed[c] = regions
-	}
-	return a, nil
 }
 
 // Reset returns the allocator to its just-built state for a (possibly
 // different) shuffle seed: every frame free, every block unowned, the
-// round-robin cursors rewound. The free lists are refilled in page order
-// and reshuffled exactly as NewAllocator does — one rng shared across
-// regions, regions visited in index order — so Reset(seed) is
+// round-robin cursors rewound. The free lists are refilled and reshuffled
+// by the same shuffle NewAllocator runs, so Reset(seed) is
 // indistinguishable from NewAllocator(l, n, seed) to every caller.
 func (a *Allocator) Reset(seed uint64) {
 	for i := range a.owner {
@@ -90,22 +113,7 @@ func (a *Allocator) Reset(seed uint64) {
 		}
 		return
 	}
-	for r := range a.freeByRegion {
-		a.freeByRegion[r] = a.freeByRegion[r][:0]
-	}
-	l := a.layout
-	for p := int64(0); p < l.TotalPages(); p++ {
-		r := l.PageRegion(p)
-		a.freeByRegion[r] = append(a.freeByRegion[r], p)
-	}
-	rng := xrand.New(seed)
-	for r := range a.freeByRegion {
-		pages := a.freeByRegion[r]
-		for i := len(pages) - 1; i > 0; i-- {
-			j := rng.Intn(i + 1)
-			pages[i], pages[j] = pages[j], pages[i]
-		}
-	}
+	a.shuffle(seed)
 	a.snapshotShuffle(seed)
 }
 

@@ -151,6 +151,22 @@ func TestAllocDeterminism(t *testing.T) {
 	}
 }
 
+// TestNewAllocatorAllocs pins the allocator's construction to a fixed
+// number of allocations plus one per program, whatever the page count:
+// the free lists are carved from one array instead of growing.
+func TestNewAllocatorAllocs(t *testing.T) {
+	l := testLayout(t)
+	const programs = 4
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := NewAllocator(l, programs, 7); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := 8 + programs; allocs > float64(want) {
+		t.Errorf("NewAllocator made %v allocations over %d pages, want at most %d", allocs, l.TotalPages(), want)
+	}
+}
+
 func TestRegionHelpers(t *testing.T) {
 	a, _ := testAllocator(t, 3)
 	if a.PrivateRegion(2) != 2 {

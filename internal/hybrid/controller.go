@@ -725,7 +725,9 @@ func (c *Controller) serve(op *accessOp, e *STCEntry) {
 
 // handleEviction persists QAC updates, feeds MDM statistics, and issues
 // the dirty ST writeback. During a fast-forward span (ffNow >= 0) the
-// writeback is charged functionally instead of enqueued.
+// writeback is charged functionally instead of enqueued. ev is the STC's
+// own record: it is consumed here, before any further Insert or FlushAll
+// on that STC can reuse it.
 func (c *Controller) handleEviction(chIdx int, ev *STCEviction) {
 	for _, b := range ev.Blocks {
 		qE := QuantizeCount(b.Count)
@@ -972,9 +974,7 @@ func (c *Controller) RegisterTelemetry(s *telemetry.Sampler) {
 // updates and MDM statistics are accounted for.
 func (c *Controller) FlushSTCs() {
 	for chIdx, stc := range c.stcs {
-		for _, ev := range stc.FlushAll() {
-			c.handleEviction(chIdx, ev)
-		}
+		stc.FlushAll(func(ev *STCEviction) { c.handleEviction(chIdx, ev) })
 	}
 }
 

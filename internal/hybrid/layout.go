@@ -108,6 +108,33 @@ func (l Layout) PageRegion(page int64) int {
 	return l.Region(l.Group(firstBlock))
 }
 
+// pageWalk steps through the page frames in order with each one's
+// region, as PageRegion computes it but with no division per step: a
+// page's first block lies BlocksPerPage groups past the previous page's,
+// so its region is the next one round unless the step wrapped past the
+// last group into the next slot.
+type pageWalk struct {
+	l      Layout
+	bpp    int64
+	page   int64
+	group  int64 // group of the page's first block
+	region int
+}
+
+// walkPages returns a walk standing on page frame 0.
+func (l Layout) walkPages() pageWalk { return pageWalk{l: l, bpp: int64(l.BlocksPerPage())} }
+
+// next moves the walk on to the next page frame.
+func (w *pageWalk) next() {
+	w.page++
+	if w.group += w.bpp; w.group >= w.l.Groups {
+		w.group -= w.l.Groups
+		w.region = w.l.Region(w.group)
+	} else if w.region++; w.region == w.l.Regions {
+		w.region = 0
+	}
+}
+
 // Channel returns the memory channel serving a group. Groups stripe across
 // channels so both partitions of one group live on the same channel and a
 // swap stays channel-local.

@@ -190,3 +190,34 @@ func TestConsecutivePageGroupsSameChannelStriping(t *testing.T) {
 		t.Error("consecutive blocks should stripe across channels")
 	}
 }
+
+// TestPageWalk checks the allocator's page walk against PageRegion on
+// every page frame, including a layout with an odd number of groups, where
+// a step past the last group lands on an odd one.
+func TestPageWalk(t *testing.T) {
+	for _, c := range []struct {
+		m1       int64
+		channels int
+		regions  int
+	}{
+		{8 << 20, 2, 128},
+		{1 << 20, 1, 128},
+		{257 << 11, 1, 64},
+		{96 << 11, 3, 5},
+	} {
+		l, err := NewLayout(c.m1, c.channels, c.regions, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := l.TotalPages()
+		w := l.walkPages()
+		for ; w.page < n; w.next() {
+			if want := l.PageRegion(w.page); w.region != want {
+				t.Fatalf("%d groups, %d regions: page %d in region %d, want %d", l.Groups, l.Regions, w.page, w.region, want)
+			}
+		}
+		if w.page != n {
+			t.Fatalf("%d groups: walk ended on page %d, want %d", l.Groups, w.page, n)
+		}
+	}
+}

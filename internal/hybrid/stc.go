@@ -1,6 +1,10 @@
 package hybrid
 
-import "fmt"
+import (
+	"fmt"
+
+	"profess/internal/cache"
+)
 
 // CounterMax is the saturation value of the 6-bit STC access counters
 // (§4.1: MDM uses 6-bit saturating counters, one per swap-group location).
@@ -34,9 +38,7 @@ const NumQE = 3
 // and the QAC value each block had when the entry was inserted.
 type STCEntry struct {
 	Group int64
-	valid bool
 	dirty bool
-	lru   int64
 
 	Counters [MaxSlots]uint16
 	QInsert  [MaxSlots]uint8
@@ -74,7 +76,8 @@ type EvictedBlock struct {
 	Count   uint32
 }
 
-// STCEviction describes an evicted entry.
+// STCEviction describes an evicted entry. The STC hands out its own
+// record, reused from one eviction to the next.
 type STCEviction struct {
 	Group int64
 	Dirty bool
@@ -85,14 +88,16 @@ type STCEviction struct {
 
 // STC is the Swap-group Table Cache: a set-associative cache of ST entries
 // (Table 8: 64 KB, 8-way, 8-B entries => 8K entries for the full-scale
-// system). One STC instance serves one channel.
+// system), replacing least recently used entries. One STC instance serves
+// one channel.
 type STC struct {
 	sets     int
 	ways     int
-	indexDiv int64      // global-group stride between entries of one channel
-	lines    []STCEntry // sets*ways entries, set-major
-	tags     []int64    // parallel residency tags: group number, or -1
-	clock    int64
+	indexDiv int64           // global-group stride between entries of one channel
+	lines    []STCEntry      // sets*ways entries, set-major
+	tags     []int64         // parallel residency tags: group number, or -1
+	orders   []cache.Recency // per-set LRU order
+	ev       STCEviction     // the eviction record Insert and FlushAll hand out
 
 	// set-index fast path: shift/mask forms of indexDiv and sets when
 	// they are powers of two (-1 selects the divide fallback).
@@ -108,7 +113,10 @@ type STC struct {
 // indexDiv is the divisor applied to global group numbers before set
 // indexing (the channel count, since groups stripe across channels).
 func NewSTC(entries, ways int, indexDiv int64) (*STC, error) {
-	if entries <= 0 || ways <= 0 || entries%ways != 0 {
+	if ways <= 0 || ways > cache.MaxWays {
+		return nil, fmt.Errorf("hybrid: STC ways %d outside 1..%d", ways, cache.MaxWays)
+	}
+	if entries <= 0 || entries%ways != 0 {
 		return nil, fmt.Errorf("hybrid: STC entries %d not divisible by ways %d", entries, ways)
 	}
 	if indexDiv <= 0 {
@@ -117,28 +125,36 @@ func NewSTC(entries, ways int, indexDiv int64) (*STC, error) {
 	s := &STC{sets: entries / ways, ways: ways, indexDiv: indexDiv}
 	s.lines = make([]STCEntry, entries)
 	s.tags = make([]int64, entries)
-	for i := range s.tags {
-		s.tags[i] = -1
-	}
+	s.orders = make([]cache.Recency, s.sets)
+	s.ev.Blocks = make([]EvictedBlock, 0, MaxSlots)
 	s.divShift = shiftOf(indexDiv)
 	s.setShift = shiftOf(int64(s.sets))
 	s.setMask = int64(s.sets) - 1
+	s.Reset()
 	return s, nil
 }
 
 // Entries returns the STC capacity in entries.
 func (s *STC) Entries() int { return s.sets * s.ways }
 
-// Reset empties the cache and zeroes the LRU clock and hit/miss counters,
-// returning the STC to its just-built state without reallocating the
-// entry or tag arrays.
+// Reset empties the cache and zeroes the hit/miss counters, returning the
+// STC to its just-built state without reallocating the entry or tag
+// arrays.
 func (s *STC) Reset() {
+	s.clearWays()
+	s.Hits, s.Misses = 0, 0
+}
+
+// clearWays empties every way and restores every set's empty order.
+func (s *STC) clearWays() {
 	clear(s.lines)
 	for i := range s.tags {
 		s.tags[i] = -1
 	}
-	s.clock = 0
-	s.Hits, s.Misses = 0, 0
+	empty := cache.NewRecency(s.ways)
+	for i := range s.orders {
+		s.orders[i] = empty
+	}
 }
 
 // set returns the set index for a global group number.
@@ -159,14 +175,13 @@ func (s *STC) set(group int64) int {
 // The residency scan runs over the compact tag array; the wide entries are
 // only touched on a hit.
 func (s *STC) Lookup(group int64) *STCEntry {
-	base := s.set(group) * s.ways
-	s.clock++
+	set := s.set(group)
+	base := set * s.ways
 	for i, t := range s.tags[base : base+s.ways] {
 		if t == group {
-			e := &s.lines[base+i]
-			e.lru = s.clock
+			s.orders[set] = s.orders[set].Touch(i)
 			s.Hits++
-			return e
+			return &s.lines[base+i]
 		}
 	}
 	s.Misses++
@@ -186,34 +201,30 @@ func (s *STC) Peek(group int64) *STCEntry {
 
 // Insert caches group's ST entry with the given persisted QAC values,
 // resetting all access counters to zero (§3.2.1). It returns the displaced
-// entry's eviction record, or nil if an invalid way was used. The caller
-// must have established the entry is absent (Lookup returned nil).
+// entry's eviction record, or nil if an empty way was used; the record is
+// the STC's own and stays valid only until its next Insert or FlushAll.
+// The caller must have established the entry is absent (Lookup returned
+// nil).
 func (s *STC) Insert(group int64, qac [MaxSlots]uint8) *STCEviction {
-	base := s.set(group) * s.ways
-	ways := s.lines[base : base+s.ways]
-	s.clock++
-	victim := 0
-	for i := range ways {
-		if !ways[i].valid {
-			victim = i
-			break
-		}
-		if ways[i].lru < ways[victim].lru {
-			victim = i
-		}
-	}
+	set := s.set(group)
+	victim, order := s.orders[set].Evict(s.ways)
+	s.orders[set] = order
+	i := set*s.ways + victim
 	var ev *STCEviction
-	if ways[victim].valid {
-		ev = s.evictionRecord(&ways[victim])
+	if s.tags[i] >= 0 {
+		ev = s.evict(i)
 	}
-	ways[victim] = STCEntry{Group: group, valid: true, lru: s.clock, QInsert: qac}
-	s.tags[base+victim] = group
+	s.lines[i] = STCEntry{Group: group, QInsert: qac}
+	s.tags[i] = group
 	return ev
 }
 
-// evictionRecord captures the MDM-relevant state of an evicted entry.
-func (s *STC) evictionRecord(e *STCEntry) *STCEviction {
-	ev := &STCEviction{Group: e.Group, Dirty: e.dirty}
+// evict fills the STC's eviction record with the MDM-relevant state of
+// the entry in way i.
+func (s *STC) evict(i int) *STCEviction {
+	e := &s.lines[i]
+	ev := &s.ev
+	ev.Group, ev.Dirty, ev.Blocks = e.Group, e.dirty, ev.Blocks[:0]
 	for slot := 0; slot < MaxSlots; slot++ {
 		if c := e.Counters[slot]; c > 0 {
 			ev.Dirty = true // QAC update requires an ST writeback
@@ -235,20 +246,17 @@ func (s *STC) MarkDirty(group int64) {
 	}
 }
 
-// FlushAll evicts every valid entry, returning their eviction records in
-// deterministic (set, way) order. Used at simulation end so final-interval
-// statistics are not lost, and by tests.
-func (s *STC) FlushAll() []*STCEviction {
-	var out []*STCEviction
-	for i := range s.lines {
-		e := &s.lines[i]
-		if e.valid {
-			out = append(out, s.evictionRecord(e))
-			*e = STCEntry{}
-			s.tags[i] = -1
+// FlushAll evicts every valid entry, passing each eviction record to fn
+// in deterministic (set, way) order; fn must not call back into the STC.
+// Used at simulation end so final-interval statistics are not lost, and
+// by tests.
+func (s *STC) FlushAll(fn func(*STCEviction)) {
+	for i, t := range s.tags {
+		if t >= 0 {
+			fn(s.evict(i))
 		}
 	}
-	return out
+	s.clearWays()
 }
 
 // HitRate returns the STC hit rate observed so far.

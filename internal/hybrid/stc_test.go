@@ -78,12 +78,28 @@ func newTestSTC(t *testing.T) *STC {
 	return s
 }
 
+// flushAll collects an STC's FlushAll records, copying each one out of
+// the STC's reused record.
+func flushAll(s *STC) []STCEviction {
+	var out []STCEviction
+	s.FlushAll(func(ev *STCEviction) {
+		out = append(out, STCEviction{Group: ev.Group, Dirty: ev.Dirty, Blocks: append([]EvictedBlock(nil), ev.Blocks...)})
+	})
+	return out
+}
+
 func TestSTCValidation(t *testing.T) {
 	if _, err := NewSTC(0, 4, 1); err == nil {
 		t.Error("zero entries should fail")
 	}
 	if _, err := NewSTC(10, 4, 1); err == nil {
 		t.Error("non-divisible entries should fail")
+	}
+	if _, err := NewSTC(17, 17, 1); err == nil {
+		t.Error("more ways than a recency word holds should fail")
+	}
+	if _, err := NewSTC(16, 0, 1); err == nil {
+		t.Error("zero ways should fail")
 	}
 }
 
@@ -205,7 +221,7 @@ func TestSTCMarkDirty(t *testing.T) {
 	s := newTestSTC(t)
 	s.Insert(0, [MaxSlots]uint8{})
 	s.MarkDirty(0)
-	evs := s.FlushAll()
+	evs := flushAll(s)
 	if len(evs) != 1 || !evs[0].Dirty {
 		t.Errorf("flush = %+v", evs)
 	}
@@ -244,14 +260,14 @@ func TestSTCFlushAllClears(t *testing.T) {
 	for g := int64(0); g < 8; g++ {
 		s.Insert(g, [MaxSlots]uint8{})
 	}
-	evs := s.FlushAll()
+	evs := flushAll(s)
 	if len(evs) != 8 {
 		t.Errorf("flushed %d entries, want 8", len(evs))
 	}
 	if s.Peek(0) != nil {
 		t.Error("flush should clear entries")
 	}
-	if len(s.FlushAll()) != 0 {
+	if len(flushAll(s)) != 0 {
 		t.Error("second flush should be empty")
 	}
 }

@@ -100,14 +100,16 @@ func NewEstimator(programs int) *Estimator {
 // Add records one detailed window's per-program IPC vector.
 func (e *Estimator) Add(ipc []float64) {
 	e.n++
+	// float64(...) rounds each product so that arm64 cannot fuse it into
+	// the sum (`make fma-check`).
 	for i, v := range ipc {
 		d := v - e.mean[i]
 		e.mean[i] += d / float64(e.n)
-		e.m2[i] += d * (v - e.mean[i])
+		e.m2[i] += float64(d * (v - e.mean[i]))
 		if e.n == 1 {
 			e.ewma[i] = v
 		} else {
-			e.ewma[i] = ewmaAlpha*v + (1-ewmaAlpha)*e.ewma[i]
+			e.ewma[i] = float64(ewmaAlpha*v) + float64((1-ewmaAlpha)*e.ewma[i])
 		}
 	}
 }

@@ -6,6 +6,7 @@ package sim
 import (
 	"fmt"
 
+	"profess/internal/cache"
 	"profess/internal/cpu"
 	"profess/internal/energy"
 	"profess/internal/fault"
@@ -243,6 +244,13 @@ func (c Config) Validate() error {
 	}
 	if c.Regions <= c.Cores {
 		return fmt.Errorf("sim: %d regions cannot host %d private regions plus shared ones", c.Regions, c.Cores)
+	}
+	// A set's LRU order is one 64-bit word of 4-bit way indices.
+	if c.L3Ways < 1 || c.L3Ways > cache.MaxWays {
+		return fmt.Errorf("sim: L3Ways %d outside 1..%d", c.L3Ways, cache.MaxWays)
+	}
+	if c.STCWays < 1 || c.STCWays > cache.MaxWays {
+		return fmt.Errorf("sim: STCWays %d outside 1..%d", c.STCWays, cache.MaxWays)
 	}
 	if err := c.Faults.Validate(); err != nil {
 		return err

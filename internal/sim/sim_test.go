@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -9,25 +10,34 @@ func TestConfigValidation(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Errorf("default config invalid: %v", err)
 	}
-	bad := good
-	bad.Cores = 0
-	if bad.Validate() == nil {
-		t.Error("zero cores should fail")
+	for _, c := range []struct {
+		name   string
+		mutate func(*Config)
+		want   string // a fragment the error must contain
+	}{
+		{"zero cores", func(c *Config) { c.Cores = 0 }, "core"},
+		{"zero channels", func(c *Config) { c.Channels = 0 }, "channel"},
+		{"zero instructions", func(c *Config) { c.Instructions = 0 }, "instruction"},
+		{"regions <= cores", func(c *Config) { c.Regions = 4 }, "regions"},
+		{"zero L3 ways", func(c *Config) { c.L3Ways = 0 }, "L3Ways"},
+		{"17 L3 ways", func(c *Config) { c.L3Ways = 17 }, "L3Ways"},
+		{"65 L3 ways", func(c *Config) { c.L3Ways = 65 }, "L3Ways"},
+		{"zero STC ways", func(c *Config) { c.STCWays = 0 }, "STCWays"},
+		{"17 STC ways", func(c *Config) { c.STCWays = 17 }, "STCWays"},
+	} {
+		bad := good
+		c.mutate(&bad)
+		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Validate() = %v, want an error naming %q", c.name, err, c.want)
+		}
 	}
-	bad = good
-	bad.Channels = 0
-	if bad.Validate() == nil {
-		t.Error("zero channels should fail")
-	}
-	bad = good
-	bad.Instructions = 0
-	if bad.Validate() == nil {
-		t.Error("zero instructions should fail")
-	}
-	bad = good
-	bad.Regions = 4
-	if bad.Validate() == nil {
-		t.Error("regions <= cores should fail")
+	// The recency word's bound is inclusive at both ends.
+	for _, ways := range []int{1, 16} {
+		ok := good
+		ok.L3Ways, ok.STCWays = ways, ways
+		if err := ok.Validate(); err != nil {
+			t.Errorf("%d-way L3 and STC: %v", ways, err)
+		}
 	}
 }
 

@@ -2,6 +2,10 @@
 // ProFess simulator: running counters, exponential smoothing (as used by the
 // Relative-Slowdown Monitor), summary statistics, and the box-plot summaries
 // that the paper uses to present single-program results (Fig. 5).
+//
+// A product added to something is wrapped in float64(...): the conversion
+// rounds it, which stops arm64 from fusing the multiply-add, so results are
+// the same on every GOARCH (`make fma-check`).
 package stats
 
 import (
@@ -49,7 +53,7 @@ func StdDev(xs []float64) float64 {
 	var ss float64
 	for _, x := range xs {
 		d := x - m
-		ss += d * d
+		ss += float64(d * d)
 	}
 	return math.Sqrt(ss / float64(len(xs)))
 }
@@ -96,14 +100,14 @@ func Percentile(xs []float64, p float64) float64 {
 	if p >= 100 {
 		return s[len(s)-1]
 	}
-	rank := p / 100 * float64(len(s)-1)
+	rank := float64(p / 100 * float64(len(s)-1))
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
 		return s[lo]
 	}
 	frac := rank - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
+	return float64(s[lo]*(1-frac)) + float64(s[hi]*frac)
 }
 
 // Smoother implements simple exponential smoothing, avg += alpha*(x - avg),
@@ -127,7 +131,7 @@ func (s *Smoother) Add(x float64) float64 {
 		s.primed = true
 		return s.avg
 	}
-	s.avg += s.Alpha * (x - s.avg)
+	s.avg += float64(s.Alpha * (x - s.avg))
 	return s.avg
 }
 
@@ -163,8 +167,8 @@ func NewBoxPlot(xs []float64) BoxPlot {
 	bp.Q3 = Percentile(xs, 75)
 	bp.GeoMean = GeoMean(xs)
 	iqr := bp.Q3 - bp.Q1
-	loFence := bp.Q1 - 1.5*iqr
-	hiFence := bp.Q3 + 1.5*iqr
+	loFence := bp.Q1 - float64(1.5*iqr)
+	hiFence := bp.Q3 + float64(1.5*iqr)
 	bp.WhiskLow = math.Inf(1)
 	bp.WhiskHigh = math.Inf(-1)
 	for _, x := range xs {
@@ -259,8 +263,8 @@ func (h *Histogram) Quantile(q float64) float64 {
 	for i, n := range h.Buckets {
 		seen += n
 		if seen >= target {
-			return h.Lo + (float64(i)+0.5)*h.Width
+			return h.Lo + float64((float64(i)+0.5)*h.Width)
 		}
 	}
-	return h.Lo + float64(len(h.Buckets))*h.Width // overflow bound
+	return h.Lo + float64(float64(len(h.Buckets))*h.Width) // overflow bound
 }
