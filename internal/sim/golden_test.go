@@ -14,7 +14,7 @@ import (
 // -update rewrites the committed goldens under testdata/golden from the
 // current build:
 //
-//	go test ./internal/sim -run 'TestGoldenTelemetry|TestGoldenScale16' -update
+//	go test ./internal/sim -run 'TestGoldenTelemetry|TestGoldenScale16|TestSampledGolden' -update
 //
 // Inspect the diff before committing — a golden change means the
 // simulation's observable behaviour changed.
@@ -177,5 +177,49 @@ func TestGoldenScale16(t *testing.T) {
 				matchGolden(t, filepath.Join("testdata", "golden", "scale16", file), got)
 			}
 		})
+	}
+}
+
+// TestSampledGolden regression-tests the sampled tier end to end: w09 and
+// w13 under every scheme, each with and without the fault plan
+// rate=1e-3,sf=0.2,seed=3, at fraction 0.05 with 30k-cycle windows
+// (sampleCfg). Each run's Result JSON must match
+// testdata/golden/sampled/<mix>-<scheme>[-faults].json byte for byte, so
+// any change to fast-forward (its access order, its functional charges,
+// its pacing) shows here. Update with -update like TestGoldenTelemetry.
+func TestSampledGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	plan, err := fault.ParsePlan("rate=1e-3,sf=0.2,seed=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mix := range []string{"w09", "w13"} {
+		specs, err := SpecsForWorkload(mustWorkload(t, mix), PaperScale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, scheme := range AllSchemes() {
+			for _, faulty := range []bool{false, true} {
+				name := mix + "-" + string(scheme)
+				cfg := sampleCfg(0.05)
+				if faulty {
+					name += "-faults"
+					cfg.Faults = plan
+				}
+				t.Run(name, func(t *testing.T) {
+					res, err := Run(cfg, specs, scheme)
+					if err != nil {
+						t.Fatal(err)
+					}
+					js, err := json.MarshalIndent(res, "", "  ")
+					if err != nil {
+						t.Fatal(err)
+					}
+					matchGolden(t, filepath.Join("testdata", "golden", "sampled", name+".json"), append(js, '\n'))
+				})
+			}
+		}
 	}
 }
