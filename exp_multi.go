@@ -112,7 +112,7 @@ func RunMultiProgram(schemes []Scheme, opts ExpOptions) (*MultiProgramReport, er
 			var lat, n float64
 			var programs []string
 			for _, c := range wr.Result.PerCore {
-				lat += c.AvgReadLat * float64(c.Served)
+				lat += float64(c.AvgReadLat * float64(c.Served))
 				n += float64(c.Served)
 				programs = append(programs, c.Program)
 			}
@@ -319,7 +319,7 @@ func RunMemPodComparison(opts ExpOptions) (*AMMATReport, error) {
 		}
 		var sum, n float64
 		for _, c := range res.PerCore {
-			sum += c.AvgReadLat * float64(c.Served)
+			sum += float64(c.AvgReadLat * float64(c.Served))
 			n += float64(c.Served)
 		}
 		mu.Lock()

@@ -139,7 +139,7 @@ func RunSampleValidation(fraction float64, window int64, schemes []Scheme, opts 
 	rep := &SampleValReport{Fraction: fraction, Window: sampled.EffectiveSampleWindow(), Rows: rows}
 	var points float64
 	for _, r := range rows {
-		rep.MeanAbsIPCError += r.MeanAbsIPCError * float64(r.Programs)
+		rep.MeanAbsIPCError += float64(r.MeanAbsIPCError * float64(r.Programs))
 		points += float64(r.Programs)
 		if r.MaxAbsIPCError > rep.MaxAbsIPCError {
 			rep.MaxAbsIPCError = r.MaxAbsIPCError

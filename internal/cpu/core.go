@@ -242,9 +242,11 @@ func (c *Core) memDone(done int64, seq int64) {
 	}
 }
 
-// FunctionalMemory charges one memory access without events, returning its
-// latency in cycles — the memory interface of the fast-forward spans.
-type FunctionalMemory func(core int, addr int64, write bool, now int64) int64
+// FunctionalMemory charges one memory access without events — the memory
+// interface of the fast-forward spans. It returns nothing: a
+// fast-forwarding core advances at its calibrated pace, not at the memory
+// latency.
+type FunctionalMemory func(core int, addr int64, write bool, now int64)
 
 // Park freezes the core for a fast-forward span: the event-driven step
 // loop stops issuing (pending step events fire as no-ops) while in-flight
@@ -299,26 +301,6 @@ func (c *Core) EndFastForward() {
 // them into the sum (`make fma-check`).
 func (c *Core) FFTime() int64 {
 	return int64(c.ff.clock + float64(c.ff.pace*float64(c.pending.Gap)))
-}
-
-// FFStep functionally issues the pending reference through mem and fetches
-// the next one. The instruction/budget accounting is identical to the
-// event-driven issue path; time advances at the calibrated pace — the
-// memory latency returned by mem warms downstream state but does not feed
-// back into the clock, which is what keeps functional time flowing at the
-// rate the detailed windows measured.
-func (c *Core) FFStep(mem FunctionalMemory) {
-	if c.stopped || !c.hasPending {
-		return
-	}
-	issue := c.FFTime()
-	ref := &c.pending
-	c.instr += int64(ref.Gap) + 1
-	c.runInstr += int64(ref.Gap) + 1
-	mem(c.id, c.translate(ref.VAddr), ref.Write, issue)
-	c.ff.clock += c.ff.pace * float64(ref.Gap+1)
-	c.hasPending = false
-	c.ffFetch(issue)
 }
 
 // FFRun issues functional references until the next would issue at or

@@ -137,3 +137,34 @@ func TestFunctionalAccessSteadyStateAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestStoppedRunResetAllocs pins arena reuse of the controller's pooled
+// records across runs that stop the way a simulation does: the event
+// loop stops with accesses still in flight, then the end-of-run STC flush
+// enqueues one ST writeback per dirty entry that never completes. Reset
+// (after the calendar and the channel) must return every one of those
+// records to its freelist, so the next run builds none.
+func TestStoppedRunResetAllocs(t *testing.T) {
+	ctl, q, addr := newAllocHarness(t, 256)
+	ch := ctl.Channels()[0]
+	sink := &benchSink{}
+	run := func() {
+		for i := 0; i < 256; i++ {
+			ctl.SubmitHandler(0, addr(i), i%4 == 0, sink, 0)
+			if i%16 == 15 {
+				q.Step()
+			}
+		}
+		ctl.FlushSTCs()
+		q.Reset()
+		ch.Reset()
+		ctl.Reset(NoMigration{})
+	}
+	run()
+	if len(ctl.stwOps) == 0 {
+		t.Fatal("the end-of-run flush built no ST writeback records")
+	}
+	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+		t.Fatalf("%v allocations per stopped run and Reset, want 0", allocs)
+	}
+}

@@ -80,8 +80,10 @@ const (
 
 // Controller is the hardware memory-side of the simulated system: it owns
 // the channels, the authoritative Swap-group Table, the STCs, and runs the
-// plugged migration policy. All methods must be called from the
-// discrete-event loop (single goroutine).
+// plugged migration policy. It is single-goroutine state: the
+// discrete-event loop drives it, and during a fast-forward span of the
+// sampled tier the span's back-end goroutine does, alone (see
+// internal/sim's fastForward).
 type Controller struct {
 	cfg    ControllerConfig
 	layout Layout
@@ -108,6 +110,13 @@ type Controller struct {
 	stFree  []*stFillOp
 	stwFree []*stWriteOp
 	cbFree  [][]*accessOp
+	// ops, stOps and stwOps hold every record the controller has built,
+	// free or not. A stopped run leaves some in flight (accesses the loop
+	// stopped on, the ST writebacks of the end-of-run STC flush); Reset
+	// refills the freelists from these, so the next run builds none.
+	ops    []*accessOp
+	stOps  []*stFillOp
+	stwOps []*stWriteOp
 
 	Cores     []CoreStats
 	STReads   int64
@@ -371,11 +380,12 @@ func (c *Controller) Policy() Policy { return c.policy }
 // Reset returns the controller to its just-built state for a new run of
 // the same shape under a fresh policy: identity block mapping, cleared
 // QACs and M1 residency, empty STCs, zeroed per-core statistics and
-// latency histograms, fault injector disarmed. The freelists and the
+// latency histograms, fault injector disarmed. The pooled records and the
 // precomputed translation tables are kept — that reuse is the point.
-// Waiter slices still parked in pendingST (possible after an aborted run)
-// are banked back into the recycling pool; the access records they held
-// are dropped along with the event calendar that owned them.
+// Every record returns to its freelist, in flight or not: the caller has
+// reset the event calendar and the channels, so nothing can still
+// complete into one. Waiter slices still parked in pendingST are banked
+// back into the recycling pool.
 func (c *Controller) Reset(policy Policy) {
 	for g := int64(0); g < c.layout.Groups; g++ {
 		for s := int64(0); s < c.slots; s++ {
@@ -388,6 +398,21 @@ func (c *Controller) Reset(policy Policy) {
 	for g, waiters := range c.pendingST {
 		c.putWaiters(waiters)
 		delete(c.pendingST, g)
+	}
+	c.opFree = c.opFree[:0]
+	for _, op := range c.ops {
+		*op = accessOp{}
+		c.opFree = append(c.opFree, op)
+	}
+	c.stFree = c.stFree[:0]
+	for _, f := range c.stOps {
+		*f = stFillOp{}
+		c.stFree = append(c.stFree, f)
+	}
+	c.stwFree = c.stwFree[:0]
+	for _, w := range c.stwOps {
+		*w = stWriteOp{c: c}
+		c.stwFree = append(c.stwFree, w)
 	}
 	clear(c.Cores)
 	c.STReads, c.STWrites, c.SwapsDone = 0, 0, 0
@@ -491,6 +516,7 @@ func (c *Controller) newOp(core int, origAddr int64, write bool) *accessOp {
 		c.opFree = c.opFree[:n-1]
 	} else {
 		op = new(accessOp)
+		c.ops = append(c.ops, op)
 	}
 	block := c.xl.block(origAddr)
 	op.c = c
@@ -649,6 +675,7 @@ func (c *Controller) submit(op *accessOp) {
 		c.stFree = c.stFree[:n-1]
 	} else {
 		f = new(stFillOp)
+		c.stOps = append(c.stOps, f)
 	}
 	f.c = c
 	f.first = op
@@ -755,6 +782,7 @@ func (c *Controller) handleEviction(chIdx int, ev *STCEviction) {
 			c.stwFree = c.stwFree[:n-1]
 		} else {
 			w = &stWriteOp{c: c}
+			c.stwOps = append(c.stwOps, w)
 		}
 		w.req = mem.Request{Module: mem.M1, Bank: bank, Row: row, IsWrite: true, Core: -1, Done: w}
 		c.chans[chIdx].Enqueue(&w.req)
@@ -769,12 +797,13 @@ func (c *Controller) handleEviction(chIdx int, ev *STCEviction) {
 // at the translated location — so every piece of state that carries
 // history (STC contents, QACs, policy counters, swap-group residency,
 // wear) keeps warming exactly as it would under the cycle model. Only the
-// timing is approximate: the returned latency is the channel's closed-form
-// occupancy estimate, and swaps requested by the policy commit
-// synchronously after the access. Fault injection for NVM transients and
-// stalls does not run here (those faults fire only inside detailed
-// windows); ST-metadata faults still fire whenever ST lines move.
-func (c *Controller) FunctionalAccess(core int, origAddr int64, write bool, now int64) int64 {
+// timing is approximate: the channels charge their closed-form occupancy
+// estimate, and swaps requested by the policy commit synchronously after
+// the access. Nothing is returned, since a fast-forwarding core does not
+// wait on memory. Fault injection for NVM transients and stalls does not
+// run here (those faults fire only inside detailed windows); ST-metadata
+// faults still fire whenever ST lines move.
+func (c *Controller) FunctionalAccess(core int, origAddr int64, write bool, now int64) {
 	c.ffNow = now
 	block := c.xl.block(origAddr)
 	group := c.xl.group(block)
@@ -835,15 +864,14 @@ func (c *Controller) FunctionalAccess(core int, origAddr int64, write bool, now 
 	offset := c.xl.blockOffset(origAddr)
 	bank, row := c.geo[chIdx][location.Module].decompose(location.ByteAddr + offset)
 	// The channel charge warms occupancy, wear and event counts; its
-	// latency estimate is returned to the caller but deliberately kept out
-	// of the per-core read-latency statistics, which report only
-	// cycle-accurate samples from detailed windows.
-	lat := fillLat + c.chans[chIdx].FunctionalAccess(location.Module, bank, row, write, now+fillLat)
+	// latency estimate is deliberately kept out of the per-core
+	// read-latency statistics, which report only cycle-accurate samples
+	// from detailed windows.
+	c.chans[chIdx].FunctionalAccess(location.Module, bank, row, write, now+fillLat)
 	if len(c.ffSwaps) > 0 {
 		c.drainFFSwaps(now)
 	}
 	c.ffNow = -1
-	return lat
 }
 
 // drainFFSwaps commits every swap the policy requested during the current

@@ -548,11 +548,9 @@ func (ch *Channel) ffClampSwapHorizon(now int64) {
 // FunctionalSwap performs one block swap functionally at time `now`: the
 // same counts, wear tallies and bank perturbation as Swap, with the
 // blocking horizon folded into the occupancy state instead of an event.
-// Returns the swap's completion time.
-func (ch *Channel) FunctionalSwap(m1Loc, m2Loc SwapLocation, now int64) int64 {
-	end := ch.chargeSwap(m1Loc, m2Loc, now)
+func (ch *Channel) FunctionalSwap(m1Loc, m2Loc SwapLocation, now int64) {
+	ch.chargeSwap(m1Loc, m2Loc, now)
 	ch.ffClampSwapHorizon(now)
-	return end
 }
 
 // Quiesced reports whether the channel holds no queued or in-flight

@@ -218,6 +218,8 @@ type System struct {
 	// coreProg maps a hardware core (thread) to its program index; all
 	// threads of one program share counters, regions and statistics.
 	coreProg []int
+	// ff is the fast-forward pipeline, built on the first sampled span.
+	ff *ffPipe
 }
 
 // NewSystem builds the machine for the given programs and policy.

@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime/debug"
 
+	"profess/internal/hybrid"
 	"profess/internal/sample"
 )
 
@@ -22,8 +24,8 @@ type SampleInfo struct {
 	Windows int64
 }
 
-// ffCtxCheckSteps is how often (in functional references) a fast-forward
-// span polls the context.
+// ffCtxCheckSteps is how often (in functional references) fast-forward
+// polls the context. The count runs across spans: most spans are shorter.
 const ffCtxCheckSteps = 1 << 16
 
 // warmupCycles is the detailed warm-up run before the measured span of
@@ -54,6 +56,10 @@ const ffBatchSlack = 64
 // always exists — so cycles, IPC and the latency statistics are estimates
 // whose error shrinks as the fraction grows; the per-window IPC spread
 // yields the confidence interval reported on each CoreResult.
+//
+// Detailed windows run on the calling goroutine alone. Each fast-forward
+// span runs as a two-goroutine pipeline that joins before the span ends
+// (see fastForward), so no goroutine outlives the run.
 func (s *System) runSampled(ctx context.Context) (*Result, error) {
 	window := s.Cfg.EffectiveSampleWindow()
 	sched := sample.NewSchedule(s.Cfg.SampleFraction, window, s.Cfg.Seed)
@@ -228,23 +234,39 @@ func (s *System) runSampled(ctx context.Context) (*Result, error) {
 // interleaved access stream in time order, the closest event-free analogue
 // of the detailed interleaving. Returns the span's end time and whether
 // the run completed inside the span.
+//
+// The span runs as a two-stage pipeline. This goroutine is the front-end:
+// core selection, FFRun, reference generation and the L3 filter. Every
+// access the L3 passes down (a dirty writeback, a miss) goes into an
+// ffPipe batch, and one back-end goroutine runs those accesses through
+// Controller.FunctionalAccess in exactly the order they were pushed. The
+// split is exact because nothing flows back up within a span: the core
+// advances at its calibrated pace, not at the memory latency, and the
+// controller, its channels and the policy touch nothing the front-end
+// reads. The halves join before fastForward returns, on every path.
 func (s *System) fastForward(ctx context.Context, from, until int64, paces []float64, remaining *int) (int64, bool, error) {
+	if s.ff == nil {
+		s.ff = newFFPipe()
+	}
+	p := s.ff
+	p.start(s.Ctl)
+	defer p.join()
 	for ci, c := range s.Cores {
 		c.BeginFastForward(from, paces[s.coreProg[ci]])
 	}
-	mem := func(core int, addr int64, write bool, now int64) int64 {
+	mem := func(core int, addr int64, write bool, now int64) {
 		hit, ev, evicted := s.L3.Access(addr, write)
 		if evicted && ev.Dirty {
 			// Posted writeback, exactly as the event-driven frontend: the
 			// core does not wait, the controller still accounts it.
-			s.Ctl.FunctionalAccess(core, ev.Addr, true, now)
+			p.push(core, ev.Addr, true, now)
 		}
 		if hit {
 			s.Front.perCoreHits[core]++
-			return s.Front.hitLat
+			return
 		}
 		s.Front.perCoreMisses[core]++
-		return s.Ctl.FunctionalAccess(core, addr, false, now)
+		p.push(core, addr, false, now)
 	}
 	limit := until
 	if s.Cfg.MaxCycles > 0 && s.Cfg.MaxCycles < limit {
@@ -253,15 +275,15 @@ func (s *System) fastForward(ctx context.Context, from, until int64, paces []flo
 	// Cache each core's next issue time: an FFRun can only change the run
 	// core's own clock (and possibly stop it), so the two-smallest scan
 	// works on a flat int64 array instead of re-deriving every core's time.
-	times := make([]int64, len(s.Cores))
-	for ci, c := range s.Cores {
+	times := p.times[:0]
+	for _, c := range s.Cores {
 		if c.Stopped() {
-			times[ci] = math.MaxInt64
+			times = append(times, math.MaxInt64)
 		} else {
-			times[ci] = c.FFTime()
+			times = append(times, c.FFTime())
 		}
 	}
-	var steps, nextCheck int64 = 0, ffCtxCheckSteps
+	p.times = times
 	for *remaining > 0 {
 		// Pick the earliest core and let it run a batch of references up
 		// to just past the second-earliest core's next issue: within
@@ -287,9 +309,8 @@ func (s *System) fastForward(ctx context.Context, from, until int64, paces []flo
 		}
 		t, n := s.Cores[best].FFRun(mem, horizon, remaining)
 		times[best] = t
-		steps += int64(n)
-		if steps >= nextCheck {
-			nextCheck = steps + ffCtxCheckSteps
+		if p.steps += n; p.steps >= ffCtxCheckSteps {
+			p.steps = 0
 			if err := ctx.Err(); err != nil {
 				return bt, false, fmt.Errorf("sim: aborted at cycle %d: %w", bt, err)
 			}
@@ -310,4 +331,157 @@ func (s *System) fastForward(ctx context.Context, from, until int64, paces []flo
 		c.EndFastForward()
 	}
 	return limit, false, nil
+}
+
+// ffBatchLen is how many accesses the fast-forward front-end hands the
+// back-end at a time, and ffBatches how many batches exist, so how far
+// (ffBatches-1 full batches) the front-end may run ahead of the back-end.
+// A hand-off wakes a goroutine, so batches amortise it; their total
+// (about 200 KiB) stays inside one core's L2. EXPERIMENTS, "Pipelined
+// fast-forward (perfbench)", has the measurements behind both.
+const (
+	ffBatchLen = 1024
+	ffBatches  = 8
+)
+
+// ffAccess is one functional controller access, in the arguments of
+// Controller.FunctionalAccess.
+type ffAccess struct {
+	addr  int64
+	now   int64
+	core  int32
+	write bool
+}
+
+// ffBatch is a run of accesses in issue order.
+type ffBatch struct {
+	n    int
+	recs [ffBatchLen]ffAccess
+}
+
+// ffPipe carries a fast-forward span's accesses from the front-end (the
+// goroutine running fastForward) to the back-end goroutine. Batches cycle
+// through two channels: free (empty, for the front-end to fill) and full
+// (filled, for the back-end to run, then return to free). A nil batch on
+// full ends the span; the back-end answers on exit with nil, or with its
+// panic. full holds every batch plus the end marker, so the front-end's
+// sends never block: it blocks only for an empty batch or for exit, and
+// both wait on exit too, so a back-end that died cannot hang it. Between
+// spans every batch sits in free and no back-end runs.
+//
+// One pipe is built on a machine's first fast-forward span and kept with
+// it, so an arena-reused machine builds none. times and steps are
+// fastForward's per-core issue times and context-poll count, kept for the
+// same reason and, for steps, so that short spans still poll.
+type ffPipe struct {
+	batches [ffBatches]ffBatch
+	free    chan *ffBatch
+	full    chan *ffBatch
+	exit    chan *ffPanic
+	cur     *ffBatch // the batch the front-end is filling; nil once joined
+	times   []int64
+	steps   int
+}
+
+func newFFPipe() *ffPipe {
+	p := &ffPipe{
+		free: make(chan *ffBatch, ffBatches),
+		full: make(chan *ffBatch, ffBatches+1),
+		exit: make(chan *ffPanic, 1),
+	}
+	for i := range p.batches {
+		p.free <- &p.batches[i]
+	}
+	return p
+}
+
+// start launches the back-end for one span.
+func (p *ffPipe) start(ctl *hybrid.Controller) {
+	p.cur = <-p.free
+	go p.serve(ctl)
+}
+
+// serve is the back-end: it runs each batch's accesses through the
+// controller in order, until the end-of-span marker.
+func (p *ffPipe) serve(ctl *hybrid.Controller) {
+	defer func() {
+		if r := recover(); r != nil {
+			p.exit <- &ffPanic{value: r, stack: debug.Stack()}
+		}
+	}()
+	for {
+		b := <-p.full
+		if b == nil {
+			p.exit <- nil
+			return
+		}
+		for i := range b.recs[:b.n] {
+			a := &b.recs[i]
+			ctl.FunctionalAccess(int(a.core), a.addr, a.write, a.now)
+		}
+		b.n = 0
+		p.free <- b
+	}
+}
+
+// push appends one access to the current batch and hands the batch to
+// the back-end when it is full.
+func (p *ffPipe) push(core int, addr int64, write bool, now int64) {
+	b := p.cur
+	b.recs[b.n] = ffAccess{addr: addr, now: now, core: int32(core), write: write}
+	if b.n++; b.n < ffBatchLen {
+		return
+	}
+	p.full <- b
+	select {
+	case p.cur = <-p.free:
+	case e := <-p.exit:
+		p.fail(e)
+	}
+}
+
+// join ends the span: the back-end runs the accesses still queued and
+// stops. A back-end panic is re-raised here, on the caller's goroutine.
+// After a front-end panic, join (deferred) still waits for the back-end,
+// so no goroutine outlives the run either way.
+func (p *ffPipe) join() {
+	if p.cur == nil {
+		return // fail already took the back-end's exit
+	}
+	p.full <- p.cur
+	p.cur = nil
+	p.full <- nil
+	if e := <-p.exit; e != nil {
+		p.fail(e)
+	}
+}
+
+// fail takes the back-end's panic after it has stopped: every batch goes
+// back to free, wherever the dead back-end left it, so the machine can be
+// reset and run again; then the panic continues on this goroutine.
+func (p *ffPipe) fail(e *ffPanic) {
+	for len(p.full) > 0 {
+		<-p.full
+	}
+	for len(p.free) > 0 {
+		<-p.free
+	}
+	for i := range p.batches {
+		p.batches[i].n = 0
+		p.free <- &p.batches[i]
+	}
+	p.cur = nil
+	panic(e)
+}
+
+// ffPanic is a fast-forward back-end panic, re-raised on the goroutine
+// that runs the simulation. A recover there (par.For's, say) formats its
+// own goroutine's stack, so the value carries the back-end's.
+type ffPanic struct {
+	value any
+	stack []byte
+}
+
+func (e *ffPanic) Error() string {
+	return fmt.Sprintf("%v\n\nfast-forward back-end goroutine:\n%s", e.value, e.stack)
 }

@@ -3,11 +3,15 @@ package sim
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"profess/internal/fault"
+	"profess/internal/hybrid"
 	"profess/internal/trace"
 )
 
@@ -288,4 +292,107 @@ func TestSamplingValidation(t *testing.T) {
 	if _, err := Run(cfg, []ProgramSpec{spec}, SchemeProFess); err == nil {
 		t.Error("sampling + trace Source should fail")
 	}
+}
+
+// panicOnAccess is a policy that panics on its n-th OnAccess, standing in
+// for any fault in the controller's half of a fast-forward span.
+type panicOnAccess struct {
+	hybrid.Policy
+	n int
+}
+
+func (p *panicOnAccess) OnAccess(info hybrid.AccessInfo, ctl hybrid.PolicyContext) {
+	if p.n--; p.n == 0 {
+		panic("injected policy fault")
+	}
+	p.Policy.OnAccess(info, ctl)
+}
+
+// settleGoroutines fails unless the goroutine count falls back to base
+// within a few seconds: a goroutine that has handed over its last result
+// may still be returning, but none may outlive the run for good.
+func settleGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the run, %d before: one outlived it", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// assertArenaReuse runs cfg through the arena's cached machine and
+// requires the Result JSON of a fresh run.
+func assertArenaReuse(t *testing.T, arena *SystemArena, cfg Config, specs []ProgramSpec, want []byte) {
+	t.Helper()
+	reuses := arena.Reuses
+	res, err := arena.RunContext(context.Background(), cfg, specs, SchemeProFess)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if arena.Reuses != reuses+1 {
+		t.Fatal("the arena built a new machine instead of reusing the failed one")
+	}
+	if got, _ := renderRun(t, res); !bytes.Equal(got, want) {
+		t.Errorf("run on the reused machine diverged from a fresh run\n got: %s\nwant: %s", got, want)
+	}
+}
+
+// TestSampledBackendPanic: the controller's half of a fast-forward span
+// runs on the pipeline's back-end goroutine, so a panic there (here the
+// policy's 5000th OnAccess, which falls in a span) must not die on that
+// goroutine. RunContext re-raises it on the calling goroutine with the
+// back-end's frames in the value, no goroutine outlives the run, and the
+// machine stays fit for reuse: the arena's next run on it matches a fresh
+// run byte for byte. make sample-smoke runs it under -race.
+func TestSampledBackendPanic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	specs, err := SpecsForWorkload(mustWorkload(t, "w09"), PaperScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sampleCfg(0.05)
+	fresh, err := Run(cfg, specs, SchemeProFess)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := renderRun(t, fresh)
+
+	arena := &SystemArena{}
+	if _, err := arena.RunContext(context.Background(), cfg, specs, SchemeProFess); err != nil {
+		t.Fatal(err)
+	}
+	sys := arena.machines[0].sys
+	inner, err := NewPolicy(SchemeProFess, len(specs), cfg.Scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.reset(cfg, specs, &panicOnAccess{Policy: inner, n: 5000}); err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	recovered := func() (v any) {
+		defer func() { v = recover() }()
+		_, _ = sys.RunContext(context.Background())
+		return nil
+	}()
+	if recovered == nil {
+		t.Fatal("RunContext returned; want the policy's panic")
+	}
+	msg := fmt.Sprint(recovered)
+	for _, want := range []string{
+		"injected policy fault",
+		"sim.(*panicOnAccess).OnAccess",
+		"hybrid.(*Controller).FunctionalAccess",
+		"sim.(*ffPipe).serve",
+	} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("panic value lacks %q:\n%s", want, msg)
+		}
+	}
+	settleGoroutines(t, base)
+	assertArenaReuse(t, arena, cfg, specs, want)
 }

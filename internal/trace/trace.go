@@ -102,7 +102,7 @@ type Params struct {
 // methodology.
 type Generator struct {
 	p   Params
-	rng *xrand.RNG
+	rng xrand.RNG
 
 	refs      int64   // references emitted since Reset
 	streams   []int64 // per-stream byte cursors
@@ -133,7 +133,7 @@ func NewGenerator(p Params) (*Generator, error) {
 	if p.RecentProb > 0 && p.RecentWindow <= 0 {
 		p.RecentWindow = 32
 	}
-	g := &Generator{p: p}
+	g := &Generator{p: p, streams: make([]int64, p.Streams)}
 	g.Reset()
 	return g, nil
 }
@@ -144,16 +144,17 @@ func (g *Generator) Params() Params { return g.p }
 // Footprint returns the byte footprint.
 func (g *Generator) Footprint() int64 { return g.p.Footprint }
 
-// Reset restarts the program from its initial state.
+// Reset restarts the program from its initial state. It reseeds the RNG
+// in place and reuses the stream cursors and the recent-block ring, so a
+// program repeat allocates nothing.
 func (g *Generator) Reset() {
-	g.rng = xrand.New(g.p.Seed)
+	g.rng.Seed(g.p.Seed)
 	g.refs = 0
 	g.phase = 0
 	g.burstLeft = 0
 	g.strIdx = 0
-	g.recent = nil
+	g.recent = g.recent[:0]
 	g.recentIdx = 0
-	g.streams = make([]int64, g.p.Streams)
 	span := g.p.Footprint / int64(g.p.Streams)
 	for i := range g.streams {
 		g.streams[i] = int64(i) * span

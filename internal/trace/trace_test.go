@@ -70,6 +70,35 @@ func TestResetReproduces(t *testing.T) {
 	}
 }
 
+// TestResetMatchesFreshWithoutAllocating pins the program-repeat path: a
+// Reset reuses the generator's RNG, stream cursors and recent-block ring
+// in place, allocating nothing, and the reset generator then draws the
+// stream a freshly built one draws, ref for ref.
+func TestResetMatchesFreshWithoutAllocating(t *testing.T) {
+	for _, pat := range []Pattern{Stream, PointerChase, StridedRandom, Mixed} {
+		p := baseParams(pat)
+		p.LinesPerTouch = 4
+		p.PhaseRefs = 500
+		p.RecentProb = 0.3
+		g := MustNewGenerator(p)
+		run := func() {
+			for i := 0; i < 2000; i++ {
+				g.Next()
+			}
+			g.Reset()
+		}
+		if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+			t.Errorf("%v: %v allocations per run and Reset, want 0", pat, allocs)
+		}
+		fresh := MustNewGenerator(p)
+		for i := 0; i < 5000; i++ {
+			if got, want := g.Next(), fresh.Next(); got != want {
+				t.Fatalf("%v: reset generator drew %+v at ref %d, a fresh one %+v", pat, got, i, want)
+			}
+		}
+	}
+}
+
 func TestAddressesInFootprintAligned(t *testing.T) {
 	for _, pat := range []Pattern{Stream, PointerChase, StridedRandom, Mixed} {
 		g := MustNewGenerator(baseParams(pat))

@@ -5,7 +5,8 @@
 // seeds rather than from math/rand's global state.
 package xrand
 
-// RNG is a xorshift64* generator. The zero value is invalid; use New.
+// RNG is a xorshift64* generator. The zero value is invalid; use New or
+// Seed.
 type RNG struct {
 	state uint64
 }
@@ -13,15 +14,21 @@ type RNG struct {
 // New returns a generator seeded with seed. A zero seed is replaced with a
 // fixed non-zero constant, since xorshift has an all-zero fixed point.
 func New(seed uint64) *RNG {
+	r := &RNG{}
+	r.Seed(seed)
+	return r
+}
+
+// Seed restarts r in place at the stream New(seed) draws.
+func (r *RNG) Seed(seed uint64) {
 	if seed == 0 {
 		seed = 0x9E3779B97F4A7C15
 	}
-	r := &RNG{state: seed}
+	r.state = seed
 	// Warm up so that small seeds do not produce correlated first outputs.
 	for i := 0; i < 4; i++ {
 		r.Uint64()
 	}
-	return r
 }
 
 // Uint64 returns the next 64 random bits.
