@@ -289,7 +289,7 @@ func (m Model) Estimate(cfg sim.Config, specs []sim.ProgramSpec, scheme sim.Sche
 	var demandPerCycle, swapsPerCycle float64
 	for _, u := range units {
 		demandPerCycle += u.lamMem
-		swapsPerCycle += u.lamMem * (1 - u.m1f) * effSwapsPerMiss(cal, u.p)
+		swapsPerCycle += float64(u.lamMem * (1 - u.m1f) * effSwapsPerMiss(cal, u.p))
 	}
 	if demandPerCycle > 0 {
 		est.SwapFraction = swapsPerCycle / demandPerCycle
@@ -339,12 +339,12 @@ func (m Model) newUnit(cfg sim.Config, s sim.ProgramSpec, c3Share, c1Share, stat
 	// the two behaviours by the share of the run each phase occupies.
 	wIrr := irregularShare(cfg, p)
 	l3s, l3i := m.l3Stream(p, c3Share), m.l3Irregular(p, c3Share)
-	u.pL3 = (1-wIrr)*l3s + wIrr*l3i
+	u.pL3 = float64((1-wIrr)*l3s) + float64(wIrr*l3i)
 	// Row locality of the post-L3 stream: blend the phase row-hit rates
 	// by each phase's *miss* traffic, not its reference count.
-	ws, wi := (1-wIrr)*(1-l3s), wIrr*(1-l3i)
+	ws, wi := float64((1-wIrr)*(1-l3s)), float64(wIrr*(1-l3i))
 	if ws+wi > 0 {
-		u.rowHit = (ws*m.rowHitStream(p) + wi*m.rowHitIrregular(p)) / (ws + wi)
+		u.rowHit = (float64(ws*m.rowHitStream(p)) + float64(wi*m.rowHitIrregular(p))) / (ws + wi)
 	}
 	// Bank spread of the unit's own post-L3 traffic: each stream sweeps
 	// one bank at a time (rows stripe over banks, a 4-KB page spans half
@@ -355,7 +355,7 @@ func (m Model) newUnit(cfg sim.Config, s sim.ProgramSpec, c3Share, c1Share, stat
 		streams = 1
 	}
 	bankSpread := math.Min(16, streams)
-	u.effBanks = (1-wIrr)*bankSpread + wIrr*16
+	u.effBanks = float64((1-wIrr)*bankSpread) + float64(wIrr*16)
 	// M1 service decomposes per block visit. The first line of a visit
 	// hits M1 only if the block is already resident — static placement
 	// scatters pages so that is staticFrac; hot-set-tracking migration
@@ -364,13 +364,13 @@ func (m Model) newUnit(cfg sim.Config, s sim.ProgramSpec, c3Share, c1Share, stat
 	// first touch (cal.Spatial — on-access schemes capture this burst,
 	// interval-based ones mostly do not).
 	resident := residency(p, c1Share)
-	first := staticFrac + cal.Hot*(resident-staticFrac)
+	first := staticFrac + float64(cal.Hot*(resident-staticFrac))
 	spatial := m.spatialFraction(p)
-	u.m1f = first + (1-first)*cal.Spatial*spatial
+	u.m1f = first + float64((1-first)*cal.Spatial*spatial)
 	// Placement (capacity residency, for wear): the migrated share of
 	// the footprint sits in M1.
 	idealPlace := math.Min(1, c1Share/float64(p.Footprint))
-	u.placeM1 = staticFrac + cal.Hot*(idealPlace-staticFrac)
+	u.placeM1 = staticFrac + float64(cal.Hot*(idealPlace-staticFrac))
 	return u
 }
 
@@ -401,8 +401,8 @@ func irregularShare(cfg sim.Config, p trace.Params) float64 {
 	}
 	// Odd-indexed phases are irregular.
 	pairs := math.Floor(refs / (2 * per))
-	rem := refs - pairs*2*per
-	irr := pairs*per + math.Max(0, rem-per)
+	rem := refs - float64(pairs*2*per)
+	irr := float64(pairs*per) + math.Max(0, rem-per)
 	return irr / refs
 }
 
@@ -458,7 +458,7 @@ func (m Model) l3Stream(p trace.Params, c3Share float64) float64 {
 // with the residency of their density class, derated for the pollution
 // the cold stream inflicts.
 func (m Model) l3Irregular(p trace.Params, c3Share float64) float64 {
-	h := p.RecentProb + (1-p.RecentProb)*residency(p, c3Share)
+	h := p.RecentProb + float64((1-p.RecentProb)*residency(p, c3Share))
 	h *= m.L3IrrDiscount
 	if h > m.L3FitHit {
 		h = m.L3FitHit
@@ -481,11 +481,11 @@ func residency(p trace.Params, capacity float64) float64 {
 	var hit float64
 	if hotBytes > 0 {
 		cover := math.Min(1, capacity/hotBytes)
-		hit += hotProb * cover
+		hit += float64(hotProb * cover)
 		capacity = math.Max(0, capacity-hotBytes)
 	}
 	if cold := f - hotBytes; cold > 0 {
-		hit += (1 - hotProb) * math.Min(1, capacity/cold)
+		hit += float64((1 - hotProb) * math.Min(1, capacity/cold))
 	}
 	return hit
 }
@@ -546,15 +546,15 @@ func (m Model) contend(units []*unit, cfg sim.Config, t1, t2 mem.Timing, cal Sch
 		var busCycles, events float64
 		var lam1, lam2, occ1, occ2 float64
 		for _, u := range units {
-			trig := u.lamMem * (1 - u.m1f) * effSwapsPerMiss(cal, u.p)
-			busCycles += u.lamMem*burst + trig*swapLat
+			trig := float64(u.lamMem * (1 - u.m1f) * effSwapsPerMiss(cal, u.p))
+			busCycles += float64(u.lamMem*burst) + float64(trig*swapLat)
 			events += u.lamMem + trig
-			l1 := u.lamMem * u.m1f
-			l2 := u.lamMem * (1 - u.m1f)
+			l1 := float64(u.lamMem * u.m1f)
+			l2 := float64(u.lamMem * (1 - u.m1f))
 			lam1 += l1
 			lam2 += l2
-			occ1 += l1 * m.bankOccupancy(t1, u)
-			occ2 += l2 * m.bankOccupancy(t2, u)
+			occ1 += float64(l1 * m.bankOccupancy(t1, u))
+			occ2 += float64(l2 * m.bankOccupancy(t2, u))
 		}
 		util := math.Min(0.97, busCycles/channels)
 		var meanService float64
@@ -591,8 +591,8 @@ func (m Model) contend(units []*unit, cfg sim.Config, t1, t2 mem.Timing, cal Sch
 			own2 := m.BankPressure * o2 * r2 / (1 - r2)
 			l1 := m.moduleLatency(t1, u) + bankWait1 + own1
 			l2 := m.moduleLatency(t2, u) + bankWait2 + own2 + m.M2ExtraLatency
-			u.lmem = float64(cfg.L3HitLatency) + u.m1f*l1 + (1-u.m1f)*l2 + queueWait
-			avg := u.pL3*float64(cfg.L3HitLatency) + (1-u.pL3)*u.lmem
+			u.lmem = float64(cfg.L3HitLatency) + float64(u.m1f*l1) + float64((1-u.m1f)*l2) + queueWait
+			avg := float64(u.pL3*float64(cfg.L3HitLatency)) + float64((1-u.pL3)*u.lmem)
 			memTime := avg * (u.p.DepFrac + (1-u.p.DepFrac)/u.maxOut)
 			// The exposed swap cost: a swap blocks the whole channel, but
 			// the MLP window amortises the block across the references in
@@ -600,12 +600,12 @@ func (m Model) contend(units []*unit, cfg sim.Config, t1, t2 mem.Timing, cal Sch
 			// program's effective parallelism (the same dep+1/maxOut
 			// factor that converts latency to throughput time).
 			mlp := u.p.DepFrac + (1-u.p.DepFrac)/u.maxOut
-			swapSerial := (1 - u.pL3) * (1 - u.m1f) * effSwapsPerMiss(cal, u.p) * cal.SwapStall * swapLat * mlp
+			swapSerial := float64((1 - u.pL3) * (1 - u.m1f) * effSwapsPerMiss(cal, u.p) * cal.SwapStall * swapLat * mlp)
 			hi, lo := u.frontend, memTime
 			if lo > hi {
 				hi, lo = lo, hi
 			}
-			u.tRef = hi + m.OverlapSlack*lo + swapSerial
+			u.tRef = hi + float64(m.OverlapSlack*lo) + swapSerial
 			if u.tRef < 1 {
 				u.tRef = 1
 			}
@@ -615,7 +615,7 @@ func (m Model) contend(units []*unit, cfg sim.Config, t1, t2 mem.Timing, cal Sch
 			// iteration orbits a 2-cycle instead of converging. The heavy
 			// damping keeps the damped map a contraction there.
 			next := (1 - u.pL3) / u.tRef * u.threads
-			lam := 0.9*u.lamMem + 0.1*next
+			lam := float64(0.9*u.lamMem) + float64(0.1*next)
 			if d := math.Abs(lam-u.lamMem) / math.Max(lam, 1e-12); d > maxDelta {
 				maxDelta = d
 			}
@@ -634,15 +634,15 @@ func effSwapsPerMiss(cal SchemeCal, p trace.Params) float64 {
 	if s < 1 {
 		s = 1
 	}
-	return cal.SwapsPerMiss * (1 + cal.Conflict*(s-1))
+	return cal.SwapsPerMiss * (1 + float64(cal.Conflict*(s-1)))
 }
 
 // bankOccupancy is the average time one demand access keeps its bank
 // busy in the given module.
 func (m Model) bankOccupancy(t mem.Timing, u *unit) float64 {
 	occ := float64(t.CL + t.Burst)
-	occ += (1 - u.rowHit) * float64(t.TRP+t.TRCD)
-	occ += u.p.WriteFrac * (1 - u.rowHit) * float64(t.TWR) * m.WriteRecoveryWeight
+	occ += float64((1 - u.rowHit) * float64(t.TRP+t.TRCD))
+	occ += float64(u.p.WriteFrac * (1 - u.rowHit) * float64(t.TWR) * m.WriteRecoveryWeight)
 	return occ
 }
 
@@ -651,9 +651,9 @@ func (m Model) bankOccupancy(t mem.Timing, u *unit) float64 {
 func (m Model) moduleLatency(t mem.Timing, u *unit) float64 {
 	hit := float64(t.CL + t.Burst)
 	miss := float64(t.TRP + t.TRCD + t.CL + t.Burst)
-	l := u.rowHit*hit + (1-u.rowHit)*miss
+	l := float64(u.rowHit*hit) + float64((1-u.rowHit)*miss)
 	// Row misses behind a write wait out the bank's write recovery.
-	l += u.p.WriteFrac * (1 - u.rowHit) * float64(t.TWR) * m.WriteRecoveryWeight
+	l += float64(u.p.WriteFrac * (1 - u.rowHit) * float64(t.TWR) * m.WriteRecoveryWeight)
 	return l
 }
 
@@ -673,10 +673,10 @@ func trafficMix(units []*unit) TrafficMix {
 	var total float64
 	for _, u := range units {
 		wf := u.p.WriteFrac
-		t.M1Reads += u.lamMem * u.m1f * (1 - wf)
-		t.M1Writes += u.lamMem * u.m1f * wf
-		t.M2Reads += u.lamMem * (1 - u.m1f) * (1 - wf)
-		t.M2Writes += u.lamMem * (1 - u.m1f) * wf
+		t.M1Reads += float64(u.lamMem * u.m1f * (1 - wf))
+		t.M1Writes += float64(u.lamMem * u.m1f * wf)
+		t.M2Reads += float64(u.lamMem * (1 - u.m1f) * (1 - wf))
+		t.M2Writes += float64(u.lamMem * (1 - u.m1f) * wf)
 		total += u.lamMem
 	}
 	if total <= 0 {
@@ -695,21 +695,21 @@ func (m Model) lifetime(units []*unit, cfg sim.Config, c2 float64, cal SchemeCal
 	var bursts float64                     // M2 write bursts per cycle
 	var writtenBytes, skewNum, skewDen float64
 	for _, u := range units {
-		demand := u.lamMem * (1 - u.m1f) * u.p.WriteFrac
+		demand := float64(u.lamMem * (1 - u.m1f) * u.p.WriteFrac)
 		swaps := u.lamMem * (1 - u.m1f) * effSwapsPerMiss(cal, u.p)
-		w := demand + swaps*blockBursts
+		w := demand + float64(swaps*blockBursts)
 		bursts += w
 		// The program's M2-resident bytes absorb its share of the wear;
 		// skew concentrates writes on the hot region left in M2.
-		resident := float64(u.p.Footprint) * (1 - u.placeM1)
+		resident := float64(float64(u.p.Footprint) * (1 - u.placeM1))
 		writtenBytes += resident
 		skew := 1.0
 		if u.p.HotFrac > 0 && u.p.HotProb > u.p.HotFrac {
 			// Migration drains the hot set out of M2; the residue keeps
 			// (1-eff) of the static placement's concentration.
-			skew = 1 + (1-cal.Hot)*(u.p.HotProb/u.p.HotFrac-1)
+			skew = 1 + float64((1-cal.Hot)*(u.p.HotProb/u.p.HotFrac-1))
 		}
-		skewNum += w * skew
+		skewNum += float64(w * skew)
 		skewDen += w
 	}
 	var lt Lifetime

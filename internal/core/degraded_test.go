@@ -46,6 +46,31 @@ func TestRSMDegradedEntryAndExit(t *testing.T) {
 	}
 }
 
+// TestRSMDegradedCountMatchesFlags: AnyDegraded reads a count kept where
+// each program's degraded flag flips, so after every sampling period it
+// must agree with the flags themselves while three programs enter and
+// leave degraded mode at random.
+func TestRSMDegradedCountMatchesFlags(t *testing.T) {
+	r := newTestRSM(t, 3, 20)
+	r.SetFaultInjector(fault.NewInjector(fault.Plan{Seed: 7, SFCorruptRate: 0.3}))
+	var entered, exited bool
+	for period := 0; period < 300; period++ {
+		core := period % 3
+		was := r.Degraded(core)
+		for i := 0; i < 20; i++ {
+			r.OnServed(core, 0, i%2 == 0, i%3 == 0)
+		}
+		entered = entered || !was && r.Degraded(core)
+		exited = exited || was && !r.Degraded(core)
+		if want := r.Degraded(0) || r.Degraded(1) || r.Degraded(2); r.AnyDegraded() != want {
+			t.Fatalf("period %d: AnyDegraded = %v, flags say %v", period, r.AnyDegraded(), want)
+		}
+	}
+	if !entered || !exited {
+		t.Fatalf("programs entered degraded mode: %v, left it: %v; want both", entered, exited)
+	}
+}
+
 func TestRSMDegradationDeterministicUnderSeed(t *testing.T) {
 	run := func() (int64, int64, float64, float64) {
 		r := newTestRSM(t, 1, 50)

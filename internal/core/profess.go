@@ -160,7 +160,8 @@ func (p *ProFess) Classify(cM1, cM2 int) Decision {
 
 // OnAccess implements hybrid.Policy: Table 7 guidance around MDM.
 func (p *ProFess) OnAccess(info hybrid.AccessInfo, ctl hybrid.PolicyContext) {
-	if p.rsm.AnyDegraded() {
+	degraded := p.rsm.AnyDegraded()
+	if degraded {
 		if p.lastNow > 0 && info.Now > p.lastNow {
 			p.DegradedCycles += info.Now - p.lastNow
 		}
@@ -176,7 +177,7 @@ func (p *ProFess) OnAccess(info hybrid.AccessInfo, ctl hybrid.PolicyContext) {
 		p.mdm.OnAccess(info, ctl)
 		return
 	}
-	if p.rsm.DegradedAny(cM1, cM2) {
+	if degraded && p.rsm.DegradedAny(cM1, cM2) {
 		// An involved program's slowdown factors are untrusted: suspend
 		// the fairness guidance (which would steer on corrupt SF values)
 		// and fall back to plain MDM until the monitor re-converges.

@@ -82,6 +82,9 @@ type rsmProgram struct {
 type RSM struct {
 	cfg   RSMConfig
 	progs []rsmProgram
+	// degraded counts the programs whose degraded flag is set, so the
+	// per-access checks cost nothing while every monitor is trusted.
+	degraded int
 	// Periods counts completed sampling periods per program.
 	Periods []int64
 
@@ -219,6 +222,7 @@ func (r *RSM) endPeriod(core int) {
 		r.ImplausibleSFs++
 		if !p.degraded {
 			r.DegradedEntries++
+			r.degraded++
 		}
 		p.degraded = true
 		p.cleanLeft = r.cfg.ReconvergePeriods
@@ -231,6 +235,7 @@ func (r *RSM) endPeriod(core int) {
 		p.cleanLeft--
 		if p.cleanLeft <= 0 {
 			p.degraded = false
+			r.degraded--
 		}
 	}
 	if p.regionCounts != nil {
@@ -267,14 +272,7 @@ func (r *RSM) DegradedAny(cores ...int) bool {
 }
 
 // AnyDegraded reports whether any program at all is degraded.
-func (r *RSM) AnyDegraded() bool {
-	for i := range r.progs {
-		if r.progs[i].degraded {
-			return true
-		}
-	}
-	return false
-}
+func (r *RSM) AnyDegraded() bool { return r.degraded > 0 }
 
 // sfA evaluates eq. 2 defensively: an undefined ratio degrades to 1
 // ("no observed competition") rather than to an extreme value.

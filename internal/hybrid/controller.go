@@ -350,7 +350,7 @@ func NewController(cfg ControllerConfig, chans []*mem.Channel, alloc *Allocator,
 		}
 	}
 	for ch := 0; ch < l.Channels; ch++ {
-		stc, err := NewSTC(cfg.STCEntries/l.Channels, cfg.STCWays, int64(l.Channels))
+		stc, err := NewSTC(cfg.STCEntries/l.Channels, cfg.STCWays, int64(l.Channels), l.GroupsPerChannel())
 		if err != nil {
 			return nil, err
 		}
@@ -928,8 +928,9 @@ func (c *Controller) HandleEvent(_ int64, token int64, _ any) {
 
 // Quiesced reports whether the controller holds no in-flight state — no
 // coalesced ST misses waiting on fills and no queued or in-flight channel
-// requests. After the event calendar drains this always holds; exposed so
-// the sampled run loop can assert the fast-forward precondition.
+// requests. After the event calendar drains this always holds; the
+// sampled run loop checks it before each fast-forward span, whose
+// back-end goroutine then owns the controller.
 func (c *Controller) Quiesced() bool {
 	if len(c.pendingST) != 0 {
 		return false

@@ -90,12 +90,18 @@ type STCEviction struct {
 // (Table 8: 64 KB, 8-way, 8-B entries => 8K entries for the full-scale
 // system), replacing least recently used entries. One STC instance serves
 // one channel.
+//
+// The hardware compares a set's ways in parallel; the model finds a
+// group's entry through a residency index instead, one slot per
+// channel-local group, so a lookup costs one load whatever the
+// associativity. LRU order and victim choice stay on the per-set
+// recency word.
 type STC struct {
 	sets     int
 	ways     int
 	indexDiv int64           // global-group stride between entries of one channel
 	lines    []STCEntry      // sets*ways entries, set-major
-	tags     []int64         // parallel residency tags: group number, or -1
+	index    []int32         // channel-local group -> 1 + its entry in lines, or 0
 	orders   []cache.Recency // per-set LRU order
 	ev       STCEviction     // the eviction record Insert and FlushAll hand out
 
@@ -111,20 +117,26 @@ type STC struct {
 
 // NewSTC builds an STC with the given entry count and associativity.
 // indexDiv is the divisor applied to global group numbers before set
-// indexing (the channel count, since groups stripe across channels).
-func NewSTC(entries, ways int, indexDiv int64) (*STC, error) {
+// indexing (the channel count, since groups stripe across channels), and
+// groups is how many channel-local groups the STC serves. Every group
+// passed to the STC must belong to its channel: group/indexDiv below
+// groups, one residue of group%indexDiv for all of them.
+func NewSTC(entries, ways int, indexDiv, groups int64) (*STC, error) {
 	if ways <= 0 || ways > cache.MaxWays {
 		return nil, fmt.Errorf("hybrid: STC ways %d outside 1..%d", ways, cache.MaxWays)
 	}
 	if entries <= 0 || entries%ways != 0 {
 		return nil, fmt.Errorf("hybrid: STC entries %d not divisible by ways %d", entries, ways)
 	}
+	if groups <= 0 {
+		return nil, fmt.Errorf("hybrid: STC must serve at least one group, got %d", groups)
+	}
 	if indexDiv <= 0 {
 		indexDiv = 1
 	}
 	s := &STC{sets: entries / ways, ways: ways, indexDiv: indexDiv}
 	s.lines = make([]STCEntry, entries)
-	s.tags = make([]int64, entries)
+	s.index = make([]int32, groups)
 	s.orders = make([]cache.Recency, s.sets)
 	s.ev.Blocks = make([]EvictedBlock, 0, MaxSlots)
 	s.divShift = shiftOf(indexDiv)
@@ -138,63 +150,65 @@ func NewSTC(entries, ways int, indexDiv int64) (*STC, error) {
 func (s *STC) Entries() int { return s.sets * s.ways }
 
 // Reset empties the cache and zeroes the hit/miss counters, returning the
-// STC to its just-built state without reallocating the entry or tag
+// STC to its just-built state without reallocating the entry or index
 // arrays.
 func (s *STC) Reset() {
 	s.clearWays()
 	s.Hits, s.Misses = 0, 0
 }
 
-// clearWays empties every way and restores every set's empty order.
+// clearWays empties every way and the index and restores every set's
+// empty order.
 func (s *STC) clearWays() {
 	clear(s.lines)
-	for i := range s.tags {
-		s.tags[i] = -1
-	}
+	clear(s.index)
 	empty := cache.NewRecency(s.ways)
 	for i := range s.orders {
 		s.orders[i] = empty
 	}
 }
 
-// set returns the set index for a global group number.
-func (s *STC) set(group int64) int {
-	local := group
+// local returns a global group's index within the STC's channel.
+func (s *STC) local(group int64) int64 {
 	if s.divShift >= 0 {
-		local >>= uint(s.divShift)
-	} else {
-		local /= s.indexDiv
+		return group >> uint(s.divShift)
 	}
+	return group / s.indexDiv
+}
+
+// set returns the set index of a channel-local group.
+func (s *STC) set(local int64) int {
 	if s.setShift >= 0 {
 		return int(local & s.setMask)
 	}
 	return int(local % int64(s.sets))
 }
 
+// resident reports whether entry i holds a group. An empty entry is
+// zeroed and so names group 0, but the index slot that group 0 maps to
+// can only point at an entry that holds a group.
+func (s *STC) resident(i int) bool {
+	return int(s.index[s.local(s.lines[i].Group)]) == i+1
+}
+
 // Lookup returns the resident entry for group, counting a hit or miss.
-// The residency scan runs over the compact tag array; the wide entries are
-// only touched on a hit.
 func (s *STC) Lookup(group int64) *STCEntry {
-	set := s.set(group)
-	base := set * s.ways
-	for i, t := range s.tags[base : base+s.ways] {
-		if t == group {
-			s.orders[set] = s.orders[set].Touch(i)
-			s.Hits++
-			return &s.lines[base+i]
-		}
+	local := s.local(group)
+	i := int(s.index[local]) - 1
+	if i < 0 {
+		s.Misses++
+		return nil
 	}
-	s.Misses++
-	return nil
+	set := s.set(local)
+	s.orders[set] = s.orders[set].Touch(i - set*s.ways)
+	s.Hits++
+	return &s.lines[i]
 }
 
 // Peek returns the resident entry without LRU/stat updates, or nil.
 func (s *STC) Peek(group int64) *STCEntry {
-	base := s.set(group) * s.ways
-	for i, t := range s.tags[base : base+s.ways] {
-		if t == group {
-			return &s.lines[base+i]
-		}
+	if i := s.index[s.local(group)]; i != 0 {
+		return &s.lines[i-1]
 	}
 	return nil
 }
@@ -204,23 +218,28 @@ func (s *STC) Peek(group int64) *STCEntry {
 // entry's eviction record, or nil if an empty way was used; the record is
 // the STC's own and stays valid only until its next Insert or FlushAll.
 // The caller must have established the entry is absent (Lookup returned
-// nil).
+// nil); Insert panics if it is resident.
 func (s *STC) Insert(group int64, qac [MaxSlots]uint8) *STCEviction {
-	set := s.set(group)
+	local := s.local(group)
+	if s.index[local] != 0 {
+		panic(fmt.Sprintf("hybrid: STC Insert of group %d, which is already resident", group))
+	}
+	set := s.set(local)
 	victim, order := s.orders[set].Evict(s.ways)
 	s.orders[set] = order
 	i := set*s.ways + victim
 	var ev *STCEviction
-	if s.tags[i] >= 0 {
+	if s.resident(i) {
+		s.index[s.local(s.lines[i].Group)] = 0
 		ev = s.evict(i)
 	}
 	s.lines[i] = STCEntry{Group: group, QInsert: qac}
-	s.tags[i] = group
+	s.index[local] = int32(i + 1)
 	return ev
 }
 
 // evict fills the STC's eviction record with the MDM-relevant state of
-// the entry in way i.
+// entry i.
 func (s *STC) evict(i int) *STCEviction {
 	e := &s.lines[i]
 	ev := &s.ev
@@ -251,8 +270,8 @@ func (s *STC) MarkDirty(group int64) {
 // Used at simulation end so final-interval statistics are not lost, and
 // by tests.
 func (s *STC) FlushAll(fn func(*STCEviction)) {
-	for i, t := range s.tags {
-		if t >= 0 {
+	for i := range s.lines {
+		if s.resident(i) {
 			fn(s.evict(i))
 		}
 	}

@@ -1,6 +1,8 @@
 package hybrid
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -71,7 +73,7 @@ func TestQuantizeMonotoneTotal(t *testing.T) {
 
 func newTestSTC(t *testing.T) *STC {
 	t.Helper()
-	s, err := NewSTC(16, 4, 1) // 4 sets x 4 ways
+	s, err := NewSTC(16, 4, 1, 128) // 4 sets x 4 ways, groups 0..127
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,17 +91,20 @@ func flushAll(s *STC) []STCEviction {
 }
 
 func TestSTCValidation(t *testing.T) {
-	if _, err := NewSTC(0, 4, 1); err == nil {
+	if _, err := NewSTC(0, 4, 1, 64); err == nil {
 		t.Error("zero entries should fail")
 	}
-	if _, err := NewSTC(10, 4, 1); err == nil {
+	if _, err := NewSTC(10, 4, 1, 64); err == nil {
 		t.Error("non-divisible entries should fail")
 	}
-	if _, err := NewSTC(17, 17, 1); err == nil {
+	if _, err := NewSTC(17, 17, 1, 64); err == nil {
 		t.Error("more ways than a recency word holds should fail")
 	}
-	if _, err := NewSTC(16, 0, 1); err == nil {
+	if _, err := NewSTC(16, 0, 1, 64); err == nil {
 		t.Error("zero ways should fail")
+	}
+	if _, err := NewSTC(16, 4, 1, 0); err == nil {
+		t.Error("zero groups should fail")
 	}
 }
 
@@ -225,7 +230,7 @@ func TestSTCMarkDirty(t *testing.T) {
 	if len(evs) != 1 || !evs[0].Dirty {
 		t.Errorf("flush = %+v", evs)
 	}
-	s.MarkDirty(12345) // absent group: no-op
+	s.MarkDirty(127) // absent group: no-op
 }
 
 func TestSTCLRUWithinSet(t *testing.T) {
@@ -244,7 +249,7 @@ func TestSTCLRUWithinSet(t *testing.T) {
 func TestSTCIndexDiv(t *testing.T) {
 	// With indexDiv 2 (two channels), groups 0 and 2 share a set on the
 	// same channel-local index progression.
-	s, err := NewSTC(8, 2, 2)
+	s, err := NewSTC(8, 2, 2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,6 +258,20 @@ func TestSTCIndexDiv(t *testing.T) {
 	if s.Peek(0) == nil || s.Peek(2) == nil {
 		t.Error("both groups should be resident in different sets")
 	}
+}
+
+// TestSTCInsertResidentPanics checks Insert's precondition: a group that
+// is already resident (Lookup would have hit) must not be inserted again,
+// since a second entry for one group would split its counters.
+func TestSTCInsertResidentPanics(t *testing.T) {
+	s := newTestSTC(t)
+	s.Insert(5, [MaxSlots]uint8{})
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "group 5") {
+			t.Errorf("second Insert of group 5: recovered %v, want a panic naming the group", r)
+		}
+	}()
+	s.Insert(5, [MaxSlots]uint8{})
 }
 
 func TestSTCFlushAllClears(t *testing.T) {

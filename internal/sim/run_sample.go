@@ -244,7 +244,14 @@ func (s *System) runSampled(ctx context.Context) (*Result, error) {
 // advances at its calibrated pace, not at the memory latency, and the
 // controller, its channels and the policy touch nothing the front-end
 // reads. The halves join before fastForward returns, on every path.
+//
+// The back-end may own the controller only on a drained machine: a span
+// that starts with a memory request still in flight fails before any
+// goroutine starts.
 func (s *System) fastForward(ctx context.Context, from, until int64, paces []float64, remaining *int) (int64, bool, error) {
+	if !s.Ctl.Quiesced() {
+		return from, false, fmt.Errorf("sim: fast-forward span at cycle %d starts with memory requests in flight", from)
+	}
 	if s.ff == nil {
 		s.ff = newFFPipe()
 	}

@@ -396,3 +396,43 @@ func TestSampledBackendPanic(t *testing.T) {
 	settleGoroutines(t, base)
 	assertArenaReuse(t, arena, cfg, specs, want)
 }
+
+// TestFastForwardNeedsQuiescedMachine: a fast-forward span hands the
+// controller to the pipeline's back-end goroutine, which is safe only on
+// a drained machine. A span that starts with one access still in flight
+// (its ST fill queued on a channel) must fail with an error naming the
+// span's first cycle, and leave no goroutine behind. make sample-smoke
+// runs it under -race.
+func TestFastForwardNeedsQuiescedMachine(t *testing.T) {
+	specs, err := SpecsForWorkload(mustWorkload(t, "w09"), PaperScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sampleCfg(0.05)
+	policy, err := NewPolicy(SchemeProFess, len(specs), cfg.Scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := NewSystem(cfg, specs, policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remaining := sys.startCores(nil)
+	paces := make([]float64, len(specs))
+	for i := range paces {
+		paces[i] = 1
+	}
+	base := runtime.NumGoroutine()
+	sys.Ctl.Submit(0, 0, false, nil)
+	if sys.Ctl.Quiesced() {
+		t.Fatal("controller quiesced with an access submitted and no event run")
+	}
+	_, _, err = sys.fastForward(context.Background(), 1234, 6234, paces, remaining)
+	if err == nil || !strings.Contains(err.Error(), "cycle 1234") {
+		t.Fatalf("fastForward with an access in flight: err = %v, want an error naming cycle 1234", err)
+	}
+	if n := sys.Cores[0].Instructions(); n != 0 {
+		t.Errorf("core 0 ran %d instructions in the refused span", n)
+	}
+	settleGoroutines(t, base)
+}
