@@ -11,7 +11,7 @@ COVER_MIN ?= 70
 # How long each fuzz target runs in `make fuzz-smoke`.
 FUZZTIME ?= 10s
 
-.PHONY: check vet fmt-check fma-check build test test-race bench bench-smoke sweep-smoke chaos-smoke xval-smoke shard-smoke arena-smoke sample-smoke perfbench-check quick cover fuzz-smoke
+.PHONY: check vet fmt-check fma-check build test test-race bench bench-smoke sweep-smoke chaos-smoke xval-smoke shard-smoke arena-smoke sample-smoke perfbench-check archive-check quick cover fuzz-smoke
 
 # Minimum statement coverage (percent) for internal/analytic, enforced by
 # `make xval-smoke`: the closed-form tier is only trustworthy while its
@@ -244,13 +244,12 @@ perfbench-check:
 	done
 
 # xval-smoke is the CI guard for the analytic fast tier: the committed
-# cross-validation error envelope and the sweep-pruning safety audit
-# (prune rate, figure transparency, true-delta margin) run under the
-# race detector, then internal/analytic must clear its own coverage
-# floor.
+# cross-validation error envelope and the xval report's rendering run
+# under the race detector, then internal/analytic must clear its own
+# coverage floor.
 xval-smoke:
 	$(GO) test -race -count=1 -timeout 30m \
-		-run 'TestXValEnvelope|TestXValReportRendering|TestPruneSafety' .
+		-run 'TestXValEnvelope|TestXValReportRendering' .
 	@mkdir -p bin
 	$(GO) test -coverprofile=bin/analytic-cover.out ./internal/analytic
 	@$(GO) tool cover -func=bin/analytic-cover.out | awk -v min=$(ANALYTIC_COVER_MIN) ' \
@@ -259,6 +258,19 @@ xval-smoke:
 			printf "internal/analytic coverage: %.1f%% (minimum %s%%)\n", total, min; \
 			if (total + 0 < min + 0) { print "analytic coverage below minimum"; exit 1 } \
 		}'
+
+# archive-check is the CI guard for professbench_all.txt, the archived
+# report of every deterministic experiment at 1.5M instructions per
+# program: it reruns them cold and fails unless the report is byte-identical
+# to the file. The experiment list is the archive's definition, so it is
+# fixed here rather than in a variable. scale16 and sample are left out
+# because they print wall times. About 15 s on 2 vCPUs.
+archive-check:
+	$(GO) build -o bin/professbench ./cmd/professbench
+	bin/professbench -exp fig2,table4,fig5,fig6,fig7,fig8,fig9,sens-twr,sens-ratio,fig10,fig11,fig16,mempod,algos,faults,xval \
+		-instr 1500000 -cachedir off > bin/archive.txt
+	cmp bin/archive.txt professbench_all.txt
+	@echo "archive-check: professbench_all.txt reproduces byte for byte"
 
 # cover fails the build when total statement coverage drops under COVER_MIN.
 cover:

@@ -4,9 +4,9 @@
 // rebuilding it (see internal/sim/arena.go). Sweep workers each own a
 // private arena threaded through the context; every other caller borrows
 // one from a process-wide pool. Reuse is on by default and byte-identical
-// to fresh construction — disable it with SetArenaReuse(false) (the
-// drivers' -noarena flag) when debugging scheme state, so every run
-// starts from a machine the debugger can watch being built.
+// to fresh construction — disable it with SetArenaReuse(false)
+// (professbench's -noarena flag) when debugging scheme state, so every
+// run starts from a machine the debugger can watch being built.
 
 package profess
 

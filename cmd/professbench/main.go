@@ -8,8 +8,8 @@
 // worker pool, and the drivers then re-run to render their figures purely
 // from the completed cell table (the warm run cache). Completed cells
 // also persist to an on-disk cache (-cachedir), so a warm re-run of the
-// whole sweep performs zero simulations. -nocache (or -noplan) restores
-// the phase-free behaviour for honest end-to-end timing.
+// whole sweep performs zero simulations. -nocache restores the phase-free
+// behaviour for honest end-to-end timing.
 //
 // Usage:
 //
@@ -190,15 +190,12 @@ func main() {
 		csv      = flag.Bool("csv", false, "emit CSV instead of tables where supported")
 		debug    = flag.String("debug", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060) while experiments run")
 		list     = flag.Bool("list", false, "list experiments and exit")
-		nocache  = flag.Bool("nocache", false, "disable the run cache entirely (every cell simulates from scratch; implies -noplan and no disk tier)")
-		noplan   = flag.Bool("noplan", false, "skip the plan/execute phases; experiments simulate as they render")
+		nocache  = flag.Bool("nocache", false, "disable the run cache entirely: no plan/execute phases, every cell simulates from scratch as its experiment renders, and no disk tier")
 		cachedir = flag.String("cachedir", profess.DefaultRunCacheDir(), "persistent run-cache directory ('' or 'off' disables the disk tier)")
 		benchout = flag.String("benchout", "", "write go-bench-format wall-time and cache-counter lines to this file")
 		resume   = flag.Bool("resume", true, "resume an interrupted sweep from its journal in the cache directory; -resume=false discards prior progress and starts fresh")
-		prune    = flag.Bool("prune", false, "prune planned cells whose scheme the analytic fast tier cannot distinguish from a representative; pruned cells render from the representative's result")
-		prunemgn = flag.Float64("prunemargin", profess.DefaultPruneMargin, "analytic indistinguishability margin for -prune (see EXPERIMENTS.md before raising it)")
 		noarena  = flag.Bool("noarena", false, "disable simulation-state arena reuse (every cell constructs a fresh machine; results are byte-identical either way)")
-		sampleFr = flag.Float64("sample", 0, "run planned cells on the interval-sampling tier with this detailed fraction in (0,1); IPC becomes an estimate within the committed envelope (see EXPERIMENTS.md fidelity ladder). 0 = full fidelity")
+		sampleFr = flag.Float64("sample", 0, "run planned cells on the interval-sampling tier with this detailed fraction in (0,1). IPC becomes an estimate whose bias differs by scheme, so figure ratios can reverse: at -instr 2000000, -sample 0.05 reads Fig. 5's MDM/PoM IPC gmean as 0.986 against 1.179 at full fidelity (EXPERIMENTS.md, 'When not to trust -sample'). 0 = full fidelity")
 		samplewn = flag.Int64("samplewindow", 0, "detailed-window length in cycles for -sample (0 = the config default)")
 	)
 	flag.Usage = groupedUsage
@@ -208,11 +205,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "professbench: -sample %v outside (0, 1)\n", *sampleFr)
 		os.Exit(2)
 	}
-	if *sampleFr > 0 && (*nocache || *noplan) {
+	if *sampleFr > 0 && *nocache {
 		// The sampled tier reaches the experiments through the plan's cell
 		// rewrite; without the plan phase nothing would be rewritten and
 		// the flag would silently do nothing.
-		fmt.Fprintf(os.Stderr, "professbench: -sample needs the plan phase; drop -nocache/-noplan\n")
+		fmt.Fprintf(os.Stderr, "professbench: -sample needs the plan phase; drop -nocache\n")
 		os.Exit(2)
 	}
 
@@ -302,7 +299,7 @@ func main() {
 	// Stdout stays untouched here — reports must be byte-identical with
 	// and without planning — so progress goes to stderr.
 	var planned []profess.PlannedExperiment
-	if profess.RunCaching() && !*noplan {
+	if profess.RunCaching() {
 		for _, e := range selected {
 			run := e.run
 			if !e.plannable {
@@ -335,16 +332,6 @@ func main() {
 		if len(plan.Unplannable) > 0 {
 			fmt.Fprintf(os.Stderr, "professbench: plan: unplannable (simulate at render): %s\n", strings.Join(plan.Unplannable, ", "))
 		}
-		if *prune {
-			requested := len(plan.Cells)
-			dropped := plan.Prune(*prunemgn)
-			pct := 0.0
-			if requested > 0 {
-				pct = 100 * float64(len(dropped)) / float64(requested)
-			}
-			fmt.Fprintf(os.Stderr, "professbench: prune: %d of %d cells aliased to analytic-equivalent representatives (%.1f%% at margin %.2f)\n",
-				len(dropped), requested, pct, *prunemgn)
-		}
 		if *sampleFr > 0 {
 			rewrote := plan.Sample(*sampleFr, *samplewn)
 			fmt.Fprintf(os.Stderr, "professbench: sample: %d of %d cells rewritten to the sampled tier (fraction %g)\n",
@@ -364,9 +351,6 @@ func main() {
 		d := profess.RunCacheDetail().Sub(before)
 		fmt.Fprintf(os.Stderr, "professbench: execute: %d simulated, %d from disk, %d already in memory (%.1fs)\n",
 			d.Sims, d.DiskHits, d.MemHits, time.Since(start).Seconds())
-		if rep.Pruned > 0 {
-			fmt.Fprintf(os.Stderr, "professbench: execute: %d pruned cells served by their representatives\n", rep.Pruned)
-		}
 		if rep.Sampled > 0 {
 			fmt.Fprintf(os.Stderr, "professbench: execute: %d cells served by their sampled runs\n", rep.Sampled)
 		}
@@ -416,11 +400,10 @@ func main() {
 }
 
 // groupedUsage replaces flag.PrintDefaults with labelled sections: the
-// flag set has grown past a dozen entries across the caching, sharding,
-// pruning and sampling work, and an alphabetical wall hides which knobs
-// trade speed for fidelity and which are free. Flags not named in a group
-// (future additions) fall through to a trailing section rather than
-// disappearing.
+// flag set spans caching, sharding and sampling, and an alphabetical wall
+// hides which knobs trade speed for fidelity and which are free. Flags
+// not named in a group (future additions) fall through to a trailing
+// section rather than disappearing.
 func groupedUsage() {
 	out := flag.CommandLine.Output()
 	fmt.Fprintf(out, "Usage: professbench -exp <ids> [options]\n")
@@ -430,9 +413,9 @@ func groupedUsage() {
 	}{
 		{"Experiment selection", []string{"exp", "list", "workloads", "programs"}},
 		{"Simulation scale", []string{"instr", "scale"}},
-		{"Fidelity dials (trade exactness for speed; results change)", []string{"sample", "samplewindow", "prune", "prunemargin"}},
+		{"Fidelity dial (trade exactness for speed; results change)", []string{"sample", "samplewindow"}},
 		{"Execution (pure speed knobs; results are byte-identical)", []string{"parallel", "shards", "noarena"}},
-		{"Caching & durability", []string{"cachedir", "nocache", "noplan", "resume"}},
+		{"Caching & durability", []string{"cachedir", "nocache", "resume"}},
 		{"Output & diagnostics", []string{"csv", "benchout", "debug"}},
 	}
 	seen := map[string]bool{}

@@ -56,16 +56,12 @@ func main() {
 		list     = flag.Bool("list", false, "list programs, workloads and schemes, then exit")
 		nocache  = flag.Bool("nocache", false, "disable the run cache entirely (identical runs re-simulate; no disk tier)")
 		cachedir = flag.String("cachedir", profess.DefaultRunCacheDir(), "persistent run-cache directory ('' or 'off' disables the disk tier)")
-		noarena  = flag.Bool("noarena", false, "disable simulation-state arena reuse (every run constructs a fresh machine; results are byte-identical either way)")
 		sample   = flag.Float64("sample", 0, "run on the interval-sampling tier with this detailed fraction in (0,1); IPC becomes an estimate reported with a 95% confidence interval. 0 = full fidelity, >= 1 = full fidelity via the sampling path")
 		samplewn = flag.Int64("samplewindow", 0, "detailed-window length in cycles for -sample (0 = the config default)")
 	)
 	flag.Usage = groupedUsage
 	flag.Parse()
 
-	if *noarena {
-		profess.SetArenaReuse(false)
-	}
 	if *nocache {
 		profess.SetRunCaching(false)
 	} else if *cachedir != "" && *cachedir != "off" {
@@ -403,7 +399,7 @@ func groupedUsage() {
 		{"System & scale", []string{"instr", "scale", "ratio", "twr", "threads"}},
 		{"Fidelity dial (trade exactness for speed; results change)", []string{"sample", "samplewindow"}},
 		{"Fault injection & telemetry", []string{"faults", "telemetry", "epoch"}},
-		{"Execution (pure speed knobs; results are byte-identical)", []string{"shards", "noarena"}},
+		{"Execution (pure speed knob; results are byte-identical)", []string{"shards"}},
 		{"Caching", []string{"cachedir", "nocache"}},
 		{"Output", []string{"json"}},
 	}

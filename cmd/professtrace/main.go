@@ -25,23 +25,18 @@ import (
 
 func main() {
 	var (
-		record  = flag.String("record", "", "Table 9 program to capture")
-		n       = flag.Int64("n", 200_000, "references to capture")
-		out     = flag.String("out", "", "output file for -record")
-		stats   = flag.String("stats", "", "trace file to inspect")
-		replay  = flag.String("replay", "", "trace file to simulate")
-		scheme  = flag.String("scheme", "mdm", "migration scheme for -replay")
-		instr   = flag.Int64("instr", 1_000_000, "instruction budget for -replay")
-		scale   = flag.Float64("scale", profess.PaperScale, "capacity scale")
-		tele    = flag.String("telemetry", "", "for -replay: export per-epoch telemetry to this file (.csv for CSV, JSONL otherwise; a .manifest.json rides along)")
-		epoch   = flag.Int64("epoch", 10_000, "telemetry epoch length in CPU cycles (with -telemetry)")
-		noarena = flag.Bool("noarena", false, "disable simulation-state arena reuse for -replay (fresh machine per run; byte-identical either way)")
+		record = flag.String("record", "", "Table 9 program to capture")
+		n      = flag.Int64("n", 200_000, "references to capture")
+		out    = flag.String("out", "", "output file for -record")
+		stats  = flag.String("stats", "", "trace file to inspect")
+		replay = flag.String("replay", "", "trace file to simulate")
+		scheme = flag.String("scheme", "mdm", "migration scheme for -replay")
+		instr  = flag.Int64("instr", 1_000_000, "instruction budget for -replay")
+		scale  = flag.Float64("scale", profess.PaperScale, "capacity scale")
+		tele   = flag.String("telemetry", "", "for -replay: export per-epoch telemetry to this file (.csv for CSV, JSONL otherwise; a .manifest.json rides along)")
+		epoch  = flag.Int64("epoch", 10_000, "telemetry epoch length in CPU cycles (with -telemetry)")
 	)
 	flag.Parse()
-
-	if *noarena {
-		profess.SetArenaReuse(false)
-	}
 
 	switch {
 	case *record != "":

@@ -53,8 +53,8 @@ type XValReport struct {
 
 // RunCrossValidation runs every program of the options (default: all ten
 // Table 9 generators, libquantum included — the analytic tier must get
-// the degenerate fits-in-M1 case right, it is what pruning exploits)
-// under the given schemes in the single-core system, through both tiers.
+// the degenerate fits-in-M1 case right) under the given schemes in the
+// single-core system, through both tiers.
 func RunCrossValidation(schemes []Scheme, opts ExpOptions) (*XValReport, error) {
 	cfg := opts.singleConfig()
 	progs := opts.Programs

@@ -103,9 +103,8 @@ type SchemeCal struct {
 // one shared (tied) calibration vector: mdm is profess minus the fairness
 // weighting, and cameo differs from silc-fm only in remap granularity,
 // which the scaled capacities erase. Tying keeps fit noise from inventing
-// analytic distinctions the cycle model does not have — tied schemes
-// produce bitwise-identical estimates, which is what lets the sweep
-// pruner (SweepPlan.Prune) collapse their cells with confidence.
+// analytic distinctions the cycle model does not have, so tied schemes
+// produce bitwise-identical estimates.
 func Default() Model {
 	return Model{
 		Schemes: map[sim.Scheme]SchemeCal{

@@ -207,7 +207,7 @@ func TestEstimateErrors(t *testing.T) {
 // TestEstimateDegenerateCell pins the screen's key discrimination: a
 // footprint resident in M1 is served almost entirely by M1 under every
 // migrating scheme, and the migrating schemes' predictions collapse
-// together (this is what sweep pruning exploits).
+// together.
 func TestEstimateDegenerateCell(t *testing.T) {
 	m := Default()
 	cfg := testConfig()

@@ -36,8 +36,6 @@ var mapRangeAllowed = map[string]struct {
 	"exp_multi.go sortedKeys m":                                     {1, "collects the keys, then sorts them"},
 	"sweep.go PlanSweep pc.perExp":                                  {1, "copies each count into another map"},
 	"sweep.go PlanSweep pc.cells":                                   {1, "collects the cells, then sorts them by cost and unique key"},
-	"sweep.go (*SweepPlan).Prune groups":                            {3, "takes each scheme pair's largest distance, marks the schemes present, and collects pruned cells that are then sorted by unique key"},
-	"sweep.go (*SweepPlan).Prune present":                           {1, "collects the schemes outside the presentation order, then sorts them"},
 	"internal/hybrid/controller.go (*Controller).Reset c.pendingST": {1, "returns each waiter slice to the pool emptied and deletes its key: the order decides which backing array a later miss reuses, never what it holds"},
 	"internal/migrate/mempod.go (*MemPod).OnAccess m.mea":           {1, "the MEA decrement: lowers every counter by one and deletes those that reach zero, each entry on its own"},
 	"internal/migrate/mempod.go (*MemPod).endInterval m.mea":        {1, "the sorted drain: collects the entries, then sorts them by count and unique key"},

@@ -235,12 +235,12 @@ func (c *runCache) cachedRun(key string, run func() (*Result, error)) (*Result, 
 }
 
 // installAlias publishes res under key in the in-process tier without
-// touching the persistent tier. The sweep pruner uses it to serve a
-// pruned cell's render-phase requests with its representative's Result:
-// the alias lives only for this process, so a later run without pruning
-// (or another process) still simulates the cell honestly. If the key was
-// already computed (or is in flight), the existing entry wins and the
-// alias is a no-op.
+// touching the persistent tier. A sampled sweep (SweepPlan.Sample) uses
+// it to serve a cell's full-fidelity render-phase requests with the
+// cell's sampled Result: the alias lives only for this process, so a
+// later full-fidelity run (or another process) still simulates the cell
+// honestly. If the key was already computed (or is in flight), the
+// existing entry wins and the alias is a no-op.
 func (c *runCache) installAlias(key string, res *Result) {
 	c.mu.Lock()
 	e, ok := c.m[key]

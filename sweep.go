@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -16,7 +15,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"profess/internal/analytic"
 	"profess/internal/lease"
 )
 
@@ -36,11 +34,6 @@ import (
 // a stub Result instead of simulating, so the exact production control
 // flow — seed replicas, footprint filters, shared baselines — decides the
 // cell set and the plan can never drift from the drivers.
-//
-// An optional pruning pass (SweepPlan.Prune) sits between planning and
-// execution: cells whose scheme the analytic fast tier cannot distinguish
-// from a representative anywhere in the plan are dropped, and the
-// executor serves them by aliasing the representative's result.
 
 // ErrNotPlannable marks an experiment that cannot be enumerated by a dry
 // run because it simulates outside the run-cache funnel (custom policies,
@@ -77,9 +70,6 @@ type SweepPlan struct {
 	// Unplannable lists experiments that returned ErrNotPlannable; they
 	// simulate when rendered instead.
 	Unplannable []string
-	// Pruned lists cells removed by Prune; ExecuteOpts serves each one by
-	// aliasing its representative's result.
-	Pruned []PrunedCell
 	// Sampled lists cells rewritten to the interval-sampling tier by
 	// Sample; ExecuteOpts serves each original full-fidelity key by
 	// aliasing the sampled result.
@@ -250,209 +240,6 @@ func (p *SweepPlan) Hash() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// DefaultPruneMargin is the analytic indistinguishability margin for
-// SweepPlan.Prune. Its value sits in the empirically measured gap between
-// the scheme families the cycle model treats identically (analytic
-// distance 0 under the tied default calibration, true IPC deltas ≤ ~6%)
-// and the closest genuinely different pair (analytic distance ≥ ~29%
-// somewhere in a standard plan, true deltas up to ~50%); see
-// prune_test.go for the audit that keeps it honest.
-const DefaultPruneMargin = 0.10
-
-// PrunedCell records one cell Prune removed from the plan.
-type PrunedCell struct {
-	// Key is the pruned cell's run-cache key; RepKey the representative
-	// cell whose result will stand in for it.
-	Key    string
-	RepKey string
-	// Scheme and RepScheme name the merged pair.
-	Scheme    Scheme
-	RepScheme Scheme
-	// Delta is the analytic distance between the pruned cell and its
-	// representative: the max over the cell's programs of the relative
-	// IPC difference and the absolute M1-served-fraction difference.
-	Delta float64
-	// Experiments lists the plan requests that needed this cell.
-	Experiments []string
-}
-
-// cellEstimate is one cell's analytic screen used by Prune.
-type cellEstimate struct {
-	cell *PlanCell
-	ipc  []float64
-	m1   []float64
-}
-
-// dist is the analytic distance between two cells of one group (same
-// config and specs, different scheme): the max over programs of relative
-// IPC difference and absolute M1-fraction difference.
-func (a *cellEstimate) dist(b *cellEstimate) float64 {
-	var d float64
-	for k := range a.ipc {
-		hi := math.Max(a.ipc[k], b.ipc[k])
-		if hi > 0 {
-			if r := math.Abs(a.ipc[k]-b.ipc[k]) / hi; r > d {
-				d = r
-			}
-		}
-		if m := math.Abs(a.m1[k] - b.m1[k]); m > d {
-			d = m
-		}
-	}
-	return d
-}
-
-// Prune drops cells whose scheme the analytic fast tier
-// (internal/analytic) cannot distinguish from a cheaper-to-share
-// representative, so the executor simulates one cell per equivalence
-// class and serves the others by aliasing the representative's result
-// (see ExecuteOpts). A margin ≤ 0 means DefaultPruneMargin.
-//
-// The screen is deliberately conservative: two schemes merge only when
-// their analytic predictions (per-program IPC and M1-served fraction)
-// agree within the margin on EVERY planned cell where both appear — a
-// plan-global criterion. Cell-local agreement proves nothing: the
-// analytic tier's error (see testdata/xval_envelope.json) is far larger
-// than real scheme gaps, so two genuinely different schemes routinely
-// coincide on individual cells while diverging elsewhere in the plan.
-// Only schemes whose predicted behaviour is identical everywhere — under
-// the default calibration, the deliberately tied mdm/profess and
-// cameo/silc-fm families — survive the global test.
-//
-// Fault-injecting cells are never pruned (the analytic tier does not
-// model faults), and cells the estimator refuses stay unpruned. Call
-// Prune after PlanSweep and before ExecuteOpts; the pruned plan hashes
-// (and therefore journals) differently from the full plan, so resumed
-// sweeps never mix the two cell sets.
-func (p *SweepPlan) Prune(margin float64) []PrunedCell {
-	if margin <= 0 {
-		margin = DefaultPruneMargin
-	}
-	model := analytic.Default()
-
-	// Screen every cell; group the screenable ones by their
-	// scheme-independent key.
-	groups := map[string][]*cellEstimate{}
-	for i := range p.Cells {
-		c := &p.Cells[i]
-		if c.Cfg.Faults.Enabled() {
-			continue
-		}
-		est, err := model.Estimate(c.Cfg, c.Specs, c.Scheme)
-		if err != nil {
-			continue
-		}
-		ce := &cellEstimate{cell: c}
-		for _, pe := range est.Programs {
-			ce.ipc = append(ce.ipc, pe.IPC)
-			ce.m1 = append(ce.m1, pe.M1Fraction)
-		}
-		gk := runKey(c.Cfg, c.Specs, Scheme(""))
-		groups[gk] = append(groups[gk], ce)
-	}
-
-	// Plan-global pair distances: the worst analytic disagreement between
-	// two schemes across every group where both appear.
-	pairKey := func(a, b Scheme) [2]Scheme {
-		if b < a {
-			a, b = b, a
-		}
-		return [2]Scheme{a, b}
-	}
-	pairDist := map[[2]Scheme]float64{}
-	for _, g := range groups {
-		for i := 0; i < len(g); i++ {
-			for j := i + 1; j < len(g); j++ {
-				k := pairKey(g[i].cell.Scheme, g[j].cell.Scheme)
-				d := g[i].dist(g[j])
-				if cur, ok := pairDist[k]; !ok || d > cur {
-					pairDist[k] = d
-				}
-			}
-		}
-	}
-
-	// Cluster schemes in presentation order: a scheme joins the first
-	// representative it is plan-globally indistinguishable from, so the
-	// chosen representatives are deterministic.
-	present := map[Scheme]bool{}
-	for _, g := range groups {
-		for _, ce := range g {
-			present[ce.cell.Scheme] = true
-		}
-	}
-	var order []Scheme
-	for _, s := range Schemes() {
-		if present[s] {
-			order = append(order, s)
-			delete(present, s)
-		}
-	}
-	var extra []Scheme
-	for s := range present {
-		extra = append(extra, s)
-	}
-	sort.Slice(extra, func(i, j int) bool { return extra[i] < extra[j] })
-	order = append(order, extra...)
-
-	repOf := map[Scheme]Scheme{}
-	var reps []Scheme
-	for _, s := range order {
-		repOf[s] = s
-		for _, r := range reps {
-			if d, ok := pairDist[pairKey(r, s)]; ok && d <= margin {
-				repOf[s] = r
-				break
-			}
-		}
-		if repOf[s] == s {
-			reps = append(reps, s)
-		}
-	}
-
-	// Drop every cell whose representative scheme has a cell in the same
-	// group to stand in for it.
-	var pruned []PrunedCell
-	drop := map[string]bool{}
-	for _, g := range groups {
-		byScheme := map[Scheme]*cellEstimate{}
-		for _, ce := range g {
-			byScheme[ce.cell.Scheme] = ce
-		}
-		for _, ce := range g {
-			r := repOf[ce.cell.Scheme]
-			if r == ce.cell.Scheme {
-				continue
-			}
-			re, ok := byScheme[r]
-			if !ok {
-				continue
-			}
-			pruned = append(pruned, PrunedCell{
-				Key:         ce.cell.Key,
-				RepKey:      re.cell.Key,
-				Scheme:      ce.cell.Scheme,
-				RepScheme:   r,
-				Delta:       ce.dist(re),
-				Experiments: ce.cell.Experiments,
-			})
-			drop[ce.cell.Key] = true
-		}
-	}
-	if len(drop) > 0 {
-		kept := p.Cells[:0]
-		for _, c := range p.Cells {
-			if !drop[c.Key] {
-				kept = append(kept, c)
-			}
-		}
-		p.Cells = kept
-	}
-	sort.Slice(pruned, func(i, j int) bool { return pruned[i].Key < pruned[j].Key })
-	p.Pruned = append(p.Pruned, pruned...)
-	return pruned
-}
-
 // SampledCell records one plan cell Sample rewrote to the sampled tier.
 type SampledCell struct {
 	// FullKey is the cell's original full-fidelity run-cache key — the key
@@ -472,24 +259,21 @@ type SampledCell struct {
 // — which re-invokes the drivers with their full-fidelity configs — reads
 // the sampled figures transparently.
 //
-// This is the sweep's fidelity dial, and unlike Prune it is lossy by
-// construction: a sampled Result estimates IPC and the latency statistics
-// (with per-program confidence intervals; accuracy envelope in
+// This is the sweep's fidelity dial, and it is lossy by construction: a
+// sampled Result estimates IPC and the latency statistics (with
+// per-program confidence intervals; accuracy envelope in
 // testdata/sample_envelope.json), so the aliases live only in this
 // process's cache tier and are never persisted — a later full-fidelity
 // sweep of the same cells simulates them honestly. Cells that cannot
 // sample (clustered machines; see Config.Validate) keep full fidelity and
-// are simply not rewritten. Call Sample after Prune: pruned-cell
-// representative keys are re-pointed at the sampled cells, while the
-// pruned keys themselves stay full-fidelity keys for the render phase.
-// The rewritten plan hashes (and therefore journals) differently from the
-// full-fidelity plan, so resumed sweeps never mix the two tiers.
+// are simply not rewritten. The rewritten plan hashes (and therefore
+// journals) differently from the full-fidelity plan, so resumed sweeps
+// never mix the two tiers.
 func (p *SweepPlan) Sample(fraction float64, window int64) []SampledCell {
 	if !(fraction > 0 && fraction < 1) {
 		return nil
 	}
 	var sampled []SampledCell
-	rewritten := map[string]string{}
 	for i := range p.Cells {
 		c := &p.Cells[i]
 		cfg := c.Cfg
@@ -505,14 +289,8 @@ func (p *SweepPlan) Sample(fraction float64, window int64) []SampledCell {
 			Scheme:      c.Scheme,
 			Experiments: c.Experiments,
 		})
-		rewritten[c.Key] = key
 		c.Cfg = cfg
 		c.Key = key
-	}
-	for i := range p.Pruned {
-		if k, ok := rewritten[p.Pruned[i].RepKey]; ok {
-			p.Pruned[i].RepKey = k
-		}
 	}
 	sort.Slice(sampled, func(i, j int) bool { return sampled[i].FullKey < sampled[j].FullKey })
 	p.Sampled = append(p.Sampled, sampled...)
@@ -550,23 +328,12 @@ type ExecReport struct {
 	Retries int
 	// Failed counts cells that exhausted their attempts.
 	Failed int
-	// Pruned counts cells served by aliasing their representative's
-	// result instead of simulating (see SweepPlan.Prune).
-	Pruned int
 	// Sampled counts full-fidelity keys served by aliasing their sampled
 	// cell's result (see SweepPlan.Sample).
 	Sampled int
 	// JournalPath is the plan's journal file ("" when executing without
 	// a persistent cache directory).
 	JournalPath string
-}
-
-// Execute simulates every planned cell once on one global worker pool,
-// longest-expected-job-first. It is ExecuteOpts with defaults; see there
-// for the durability contract.
-func (p *SweepPlan) Execute(ctx context.Context, parallelism int) error {
-	_, err := p.ExecuteOpts(ctx, ExecOptions{Parallelism: parallelism})
-	return err
 }
 
 // ExecuteOpts simulates every planned cell on one worker pool,
@@ -597,7 +364,7 @@ func (p *SweepPlan) Execute(ctx context.Context, parallelism int) error {
 // failures are joined, not fatal mid-sweep: every cell is attempted.
 func (p *SweepPlan) ExecuteOpts(ctx context.Context, opts ExecOptions) (*ExecReport, error) {
 	if !RunCaching() {
-		return nil, errors.New("profess: Execute needs the run cache (SetRunCaching(true))")
+		return nil, errors.New("profess: ExecuteOpts needs the run cache (SetRunCaching(true))")
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -747,36 +514,26 @@ func (p *SweepPlan) ExecuteOpts(ctx context.Context, opts ExecOptions) (*ExecRep
 	}
 	wg.Wait()
 
-	// Serve sampled and pruned cells: alias each original full-fidelity
-	// key to its sampled cell's completed result, and each pruned key to
-	// its representative's, in the in-process cache tier, so the render
-	// phase, which asks for those keys, reads the served figures without
-	// simulating. When the serving cell did not complete (failure,
-	// cancellation) the alias is skipped and the render phase simulates
-	// the key at full fidelity — slower, but never wrong.
-	serve := func(alias, key string) bool {
-		i, ok := index[key]
-		if !ok || !done[i] {
-			return false
-		}
-		c := &p.Cells[i]
-		res, err := runSimCtx(ctx, c.Cfg, c.Specs, c.Scheme)
-		if err != nil {
-			return false // the serving cell's own failure surfaces below
-		}
-		theRunCache.installAlias(alias, res)
-		return true
-	}
+	// Serve sampled cells: alias each original full-fidelity key to its
+	// sampled cell's completed result in the in-process cache tier, so
+	// the render phase, which asks for the full-fidelity keys, reads the
+	// sampled figures without simulating. When the sampled cell did not
+	// complete (failure, cancellation) the alias is skipped and the
+	// render phase simulates the key at full fidelity — slower, but never
+	// wrong.
 	if ctx.Err() == nil {
 		for _, sc := range p.Sampled {
-			if serve(sc.FullKey, sc.Key) {
-				rep.Sampled++
+			i, ok := index[sc.Key]
+			if !ok || !done[i] {
+				continue
 			}
-		}
-		for _, pr := range p.Pruned {
-			if serve(pr.Key, pr.RepKey) {
-				rep.Pruned++
+			c := &p.Cells[i]
+			res, err := runSimCtx(ctx, c.Cfg, c.Specs, c.Scheme)
+			if err != nil {
+				continue // the sampled cell's own failure surfaces below
 			}
+			theRunCache.installAlias(sc.FullKey, res)
+			rep.Sampled++
 		}
 	}
 

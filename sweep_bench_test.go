@@ -46,7 +46,7 @@ func BenchmarkSweep_Cold(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := plan.Execute(nil, opts.Parallelism); err != nil {
+		if _, err := plan.ExecuteOpts(nil, ExecOptions{Parallelism: opts.Parallelism}); err != nil {
 			b.Fatal(err)
 		}
 		runSweepExperiments(b, opts)
@@ -81,7 +81,7 @@ func BenchmarkSweep_Warm(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := plan.Execute(nil, opts.Parallelism); err != nil {
+		if _, err := plan.ExecuteOpts(nil, ExecOptions{Parallelism: opts.Parallelism}); err != nil {
 			b.Fatal(err)
 		}
 		runSweepExperiments(b, opts)
