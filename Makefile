@@ -198,33 +198,27 @@ arena-smoke:
 # the exactness contracts — the sampled goldens, fraction 1.0
 # byte-identical to the full run across schemes/seeds/faults, sampled-run
 # determinism, the error-shrinks-with-fraction property, the validation
-# rejections and the run-key normalisation guard — and the fast-forward
+# rejections and the run-key normalisation guard — the fast-forward
 # pipeline's failure paths (a back-end panic, cancellation mid-span, a
-# span that would start with a memory request in flight).
+# span that would start with a memory request in flight), and the pinned
+# deviation that the tier reverses Fig. 5 (TestSampledTierReversesFig5).
 # Then the TestSampled tests run again on one P (GOMAXPROCS=1), where the
 # pipeline's two goroutines take turns on one thread: a hand-off that
 # spins instead of blocking hangs there (the 5m timeout fails it). Then
 # it enforces the committed accuracy/speedup envelope
-# (testdata/sample_envelope.json) at standard scale, and finally drives a
-# real professbench sweep with -sample: every eligible cell must be
-# rewritten to the sampled tier and served back under its full-fidelity
-# key.
-SAMPLE_EXPS ?= fig10
-SAMPLE_INSTR ?= 2000000
-SAMPLE_WORKLOADS ?= w09,w16
+# (testdata/sample_envelope.json) at standard scale, and finally drives
+# a real sampled professim run, which must report at least one detailed
+# window at the requested fraction and the default window.
 sample-smoke:
 	$(GO) test -race -count=1 -run 'TestSampled|TestSamplingValidation|TestRunContextCancellation|TestFastForwardNeedsQuiescedMachine' ./internal/sim
 	GOMAXPROCS=1 $(GO) test -count=1 -timeout 5m -run 'TestSampled' ./internal/sim
-	$(GO) test -race -count=1 -run 'TestRunKeySamplingNormalised|TestSweepPlanSample' .
+	$(GO) test -race -count=1 -run 'TestRunKeySamplingNormalised|TestSampledTierReversesFig5' .
 	$(GO) test -count=1 -timeout 30m -run 'TestSampleEnvelope|TestSampleValReportRendering' .
-	$(GO) build -o bin/professbench ./cmd/professbench
-	bin/professbench -exp $(SAMPLE_EXPS) -instr $(SAMPLE_INSTR) -workloads $(SAMPLE_WORKLOADS) \
-		-cachedir off -sample 0.25 > bin/sample-sweep.out 2> bin/sample-sweep.err
-	@grep -E 'sample: [1-9][0-9]* of [0-9]+ cells rewritten' bin/sample-sweep.err || \
-		{ echo "sampled sweep rewrote no cells"; cat bin/sample-sweep.err; exit 1; }
-	@grep -E '[1-9][0-9]* cells served by their sampled runs' bin/sample-sweep.err || \
-		{ echo "sampled sweep served no full-fidelity keys"; cat bin/sample-sweep.err; exit 1; }
-	@echo "sample smoke: sampled sweep rewrote and served its cells"
+	$(GO) build -o bin/professim ./cmd/professim
+	bin/professim -workload w09 -scheme profess -instr 2000000 -sample 0.25 -cachedir off > bin/sample-cli.out
+	@grep -E '^sampling profess: fraction=0\.25 window=240000 cycles, [1-9][0-9]* detailed windows' bin/sample-cli.out || \
+		{ echo "sampled professim run reported no detailed windows"; cat bin/sample-cli.out; exit 1; }
+	@echo "sample smoke: sampled professim run reported its detailed windows"
 
 # perfbench-check is the CI guard for the benchmark's references
 # (perfbench/refs): the perfbench package tests, then one short run of each

@@ -48,9 +48,8 @@ type experiment struct {
 	run       func(opts profess.ExpOptions) (fmt.Stringer, error)
 }
 
-// experiments binds the id table. sampleFr/sampleWin carry the -sample
-// flags into the drivers that need them (0 means their defaults).
-func experiments(sampleFr float64, sampleWin int64) []experiment {
+// experiments binds the id table.
+func experiments() []experiment {
 	singleBoth := func(opts profess.ExpOptions) (fmt.Stringer, error) {
 		return profess.RunSinglePrograms([]profess.Scheme{profess.SchemePoM, profess.SchemeMDM}, opts)
 	}
@@ -127,17 +126,13 @@ func experiments(sampleFr float64, sampleWin int64) []experiment {
 		}},
 		// scale16 times real runs (and re-verifies worker-count determinism), so
 		// it must not be served from the cache: unplannable by design.
-		{"scale16", "worker-count scaling curve of the clustered runner on the 16-program fleet (timing-honest; ignores -shards and sweeps 1,2,4,8)", false, func(opts profess.ExpOptions) (fmt.Stringer, error) {
+		{"scale16", "worker-count scaling curve of the clustered runner on the 16-program fleet (timing-honest; sweeps 1,2,4,8 workers)", false, func(opts profess.ExpOptions) (fmt.Stringer, error) {
 			return profess.RunScale16(profess.SchemeProFess, nil, opts)
 		}},
 		// sample times real runs too (full vs sampled, both uncached):
 		// unplannable by design.
-		{"sample", "sampled tier vs full fidelity: per-workload IPC error and speedup (timing-honest; fraction from -sample, default 0.05)", false, func(opts profess.ExpOptions) (fmt.Stringer, error) {
-			fr := sampleFr
-			if fr <= 0 || fr >= 1 {
-				fr = 0.05
-			}
-			return profess.RunSampleValidation(fr, sampleWin, []profess.Scheme{profess.SchemeProFess}, opts)
+		{"sample", "sampled tier vs full fidelity: per-workload IPC error and speedup (timing-honest; fraction 0.05)", false, func(opts profess.ExpOptions) (fmt.Stringer, error) {
+			return profess.RunSampleValidation(0.05, 0, []profess.Scheme{profess.SchemeProFess}, opts)
 		}},
 	}
 }
@@ -186,7 +181,6 @@ func main() {
 		wls      = flag.String("workloads", "", "restrict workloads (comma separated)")
 		progs    = flag.String("programs", "", "restrict programs (comma separated)")
 		par      = flag.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-		shards   = flag.Int("shards", 0, "worker goroutines per clustered simulation (pure speed knob: results and cache keys are identical at any value)")
 		csv      = flag.Bool("csv", false, "emit CSV instead of tables where supported")
 		debug    = flag.String("debug", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060) while experiments run")
 		list     = flag.Bool("list", false, "list experiments and exit")
@@ -195,23 +189,9 @@ func main() {
 		benchout = flag.String("benchout", "", "write go-bench-format wall-time and cache-counter lines to this file")
 		resume   = flag.Bool("resume", true, "resume an interrupted sweep from its journal in the cache directory; -resume=false discards prior progress and starts fresh")
 		noarena  = flag.Bool("noarena", false, "disable simulation-state arena reuse (every cell constructs a fresh machine; results are byte-identical either way)")
-		sampleFr = flag.Float64("sample", 0, "run planned cells on the interval-sampling tier with this detailed fraction in (0,1). IPC becomes an estimate whose bias differs by scheme, so figure ratios can reverse: at -instr 2000000, -sample 0.05 reads Fig. 5's MDM/PoM IPC gmean as 0.986 against 1.179 at full fidelity (EXPERIMENTS.md, 'When not to trust -sample'). 0 = full fidelity")
-		samplewn = flag.Int64("samplewindow", 0, "detailed-window length in cycles for -sample (0 = the config default)")
 	)
 	flag.Usage = groupedUsage
 	flag.Parse()
-
-	if *sampleFr != 0 && !(*sampleFr > 0 && *sampleFr < 1) {
-		fmt.Fprintf(os.Stderr, "professbench: -sample %v outside (0, 1)\n", *sampleFr)
-		os.Exit(2)
-	}
-	if *sampleFr > 0 && *nocache {
-		// The sampled tier reaches the experiments through the plan's cell
-		// rewrite; without the plan phase nothing would be rewritten and
-		// the flag would silently do nothing.
-		fmt.Fprintf(os.Stderr, "professbench: -sample needs the plan phase; drop -nocache\n")
-		os.Exit(2)
-	}
 
 	if *noarena {
 		profess.SetArenaReuse(false)
@@ -244,7 +224,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "professbench: debug server on http://%s/debug/pprof/ and /debug/vars\n", *debug)
 	}
 
-	exps := experiments(*sampleFr, *samplewn)
+	exps := experiments()
 	if *list || *exp == "" {
 		fmt.Println("experiments:")
 		for _, e := range exps {
@@ -260,7 +240,6 @@ func main() {
 		Scale:        *scale,
 		Instructions: *instr,
 		Parallelism:  *par,
-		Shards:       *shards,
 		Context:      ctx,
 	}
 	if *wls != "" {
@@ -332,11 +311,6 @@ func main() {
 		if len(plan.Unplannable) > 0 {
 			fmt.Fprintf(os.Stderr, "professbench: plan: unplannable (simulate at render): %s\n", strings.Join(plan.Unplannable, ", "))
 		}
-		if *sampleFr > 0 {
-			rewrote := plan.Sample(*sampleFr, *samplewn)
-			fmt.Fprintf(os.Stderr, "professbench: sample: %d of %d cells rewritten to the sampled tier (fraction %g)\n",
-				len(rewrote), len(plan.Cells), *sampleFr)
-		}
 		expvarCurrent.Set("execute")
 		rep, err := plan.ExecuteOpts(ctx, profess.ExecOptions{Parallelism: *par, Fresh: !*resume})
 		if errors.Is(err, context.Canceled) {
@@ -351,9 +325,6 @@ func main() {
 		d := profess.RunCacheDetail().Sub(before)
 		fmt.Fprintf(os.Stderr, "professbench: execute: %d simulated, %d from disk, %d already in memory (%.1fs)\n",
 			d.Sims, d.DiskHits, d.MemHits, time.Since(start).Seconds())
-		if rep.Sampled > 0 {
-			fmt.Fprintf(os.Stderr, "professbench: execute: %d cells served by their sampled runs\n", rep.Sampled)
-		}
 		if rep.Resumed > 0 || rep.Retries > 0 {
 			fmt.Fprintf(os.Stderr, "professbench: execute: %d resumed from journal, %d retries\n",
 				rep.Resumed, rep.Retries)
@@ -400,10 +371,10 @@ func main() {
 }
 
 // groupedUsage replaces flag.PrintDefaults with labelled sections: the
-// flag set spans caching, sharding and sampling, and an alphabetical wall
-// hides which knobs trade speed for fidelity and which are free. Flags
-// not named in a group (future additions) fall through to a trailing
-// section rather than disappearing.
+// flag set spans selection, scale, execution, caching and output, and an
+// alphabetical wall hides which knobs change results and which are free.
+// Flags not named in a group (future additions) fall through to a
+// trailing section rather than disappearing.
 func groupedUsage() {
 	out := flag.CommandLine.Output()
 	fmt.Fprintf(out, "Usage: professbench -exp <ids> [options]\n")
@@ -413,8 +384,7 @@ func groupedUsage() {
 	}{
 		{"Experiment selection", []string{"exp", "list", "workloads", "programs"}},
 		{"Simulation scale", []string{"instr", "scale"}},
-		{"Fidelity dial (trade exactness for speed; results change)", []string{"sample", "samplewindow"}},
-		{"Execution (pure speed knobs; results are byte-identical)", []string{"parallel", "shards", "noarena"}},
+		{"Execution (pure speed knobs; results are byte-identical)", []string{"parallel", "noarena"}},
 		{"Caching & durability", []string{"cachedir", "nocache", "resume"}},
 		{"Output & diagnostics", []string{"csv", "benchout", "debug"}},
 	}

@@ -2,8 +2,12 @@ package profess
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"testing"
+
+	"profess/internal/sim"
+	"profess/internal/workload"
 )
 
 // TestDeterministicReplay is the timing-wheel refactor's safety net: the
@@ -57,5 +61,60 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 	if len(j1) == 0 {
 		t.Error("telemetry export is empty")
+	}
+}
+
+// TestEntryPointsRerunByteIdentical reruns the public entry points for
+// every scheme on w09 with the run cache off, so each call simulates:
+// RunWithPolicy twice, each time with a fresh policy from sim.NewPolicy
+// on a freshly built machine, and RunMix twice, on the arena's reused
+// machines. All four Result JSONs must be byte-identical, which pins
+// rerun determinism, fresh against reused machines, and the custom-policy
+// surface against the scheme surface.
+func TestEntryPointsRerunByteIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	SetRunCaching(false)
+	defer SetRunCaching(true)
+	cfg := MultiCoreConfig(PaperScale)
+	cfg.Instructions = 300_000
+	w, err := workload.WorkloadByName("w09")
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, err := sim.SpecsForWorkload(w, cfg.Scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range Schemes() {
+		var first []byte
+		check := func(entry string, run int, res *Result, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%s: %s run %d: %v", s, entry, run, err)
+			}
+			js, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				first = js
+			} else if !bytes.Equal(js, first) {
+				t.Errorf("%s: %s run %d differs from RunWithPolicy run 1:\n%s\n%s", s, entry, run, js, first)
+			}
+		}
+		for run := 1; run <= 2; run++ {
+			pol, err := sim.NewPolicy(s, len(specs), cfg.Scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := RunWithPolicy(specs, pol, cfg)
+			check("RunWithPolicy", run, res, err)
+		}
+		for run := 1; run <= 2; run++ {
+			res, err := RunMix("w09", s, cfg)
+			check("RunMix", run, res, err)
+		}
 	}
 }

@@ -35,12 +35,6 @@ type ExpOptions struct {
 	// experiment runs (zero plan = fault-free). Stand-alone slowdown
 	// baselines always run fault-free so eq. 1 keeps a clean reference.
 	Faults FaultPlan
-	// Shards sets Config.Shards on every configuration the experiment
-	// builds — the worker count of the clustered runner. It is a pure
-	// speed knob: results are byte-identical at any value, and it only
-	// takes effect on clustered configurations (Config.Clusters > 1, e.g.
-	// Scale16Config).
-	Shards int
 }
 
 // ctx returns the effective context.
@@ -74,7 +68,6 @@ func (o ExpOptions) singleConfig() Config {
 		cfg.Instructions = o.Instructions
 	}
 	cfg.Faults = o.Faults
-	cfg.Shards = o.Shards
 	return cfg
 }
 
@@ -85,7 +78,6 @@ func (o ExpOptions) multiConfig() Config {
 		cfg.Instructions = o.Instructions
 	}
 	cfg.Faults = o.Faults
-	cfg.Shards = o.Shards
 	return cfg
 }
 

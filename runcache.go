@@ -234,24 +234,6 @@ func (c *runCache) cachedRun(key string, run func() (*Result, error)) (*Result, 
 	return e.res, e.err
 }
 
-// installAlias publishes res under key in the in-process tier without
-// touching the persistent tier. A sampled sweep (SweepPlan.Sample) uses
-// it to serve a cell's full-fidelity render-phase requests with the
-// cell's sampled Result: the alias lives only for this process, so a
-// later full-fidelity run (or another process) still simulates the cell
-// honestly. If the key was already computed (or is in flight), the
-// existing entry wins and the alias is a no-op.
-func (c *runCache) installAlias(key string, res *Result) {
-	c.mu.Lock()
-	e, ok := c.m[key]
-	if !ok {
-		e = &runCacheEntry{}
-		c.m[key] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() { e.res = res })
-}
-
 // runSim is the cache-aware funnel every scheme-based driver in this
 // package goes through. While a sweep plan is being built (PlanSweep) it
 // records the cell and returns a stub instead of simulating.

@@ -70,10 +70,6 @@ type SweepPlan struct {
 	// Unplannable lists experiments that returned ErrNotPlannable; they
 	// simulate when rendered instead.
 	Unplannable []string
-	// Sampled lists cells rewritten to the interval-sampling tier by
-	// Sample; ExecuteOpts serves each original full-fidelity key by
-	// aliasing the sampled result.
-	Sampled []SampledCell
 }
 
 // PlannedExperiment names one experiment and the driver invocation that
@@ -240,63 +236,6 @@ func (p *SweepPlan) Hash() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// SampledCell records one plan cell Sample rewrote to the sampled tier.
-type SampledCell struct {
-	// FullKey is the cell's original full-fidelity run-cache key — the key
-	// the render phase will ask for. Key is the sampled cell's key, the
-	// simulation that actually executes.
-	FullKey string
-	Key     string
-	Scheme  Scheme
-	// Experiments lists the plan requests that needed this cell.
-	Experiments []string
-}
-
-// Sample rewrites every eligible plan cell to the interval-sampling tier:
-// the cell simulates with the given detailed fraction (and window; 0 means
-// DefaultSampleWindow), and the executor serves the original full-fidelity
-// key by aliasing the sampled result (see ExecuteOpts) so the render phase
-// — which re-invokes the drivers with their full-fidelity configs — reads
-// the sampled figures transparently.
-//
-// This is the sweep's fidelity dial, and it is lossy by construction: a
-// sampled Result estimates IPC and the latency statistics (with
-// per-program confidence intervals; accuracy envelope in
-// testdata/sample_envelope.json), so the aliases live only in this
-// process's cache tier and are never persisted — a later full-fidelity
-// sweep of the same cells simulates them honestly. Cells that cannot
-// sample (clustered machines; see Config.Validate) keep full fidelity and
-// are simply not rewritten. The rewritten plan hashes (and therefore
-// journals) differently from the full-fidelity plan, so resumed sweeps
-// never mix the two tiers.
-func (p *SweepPlan) Sample(fraction float64, window int64) []SampledCell {
-	if !(fraction > 0 && fraction < 1) {
-		return nil
-	}
-	var sampled []SampledCell
-	for i := range p.Cells {
-		c := &p.Cells[i]
-		cfg := c.Cfg
-		cfg.SampleFraction = fraction
-		cfg.SampleWindow = window
-		if cfg.Validate() != nil {
-			continue
-		}
-		key := runKey(cfg, c.Specs, c.Scheme)
-		sampled = append(sampled, SampledCell{
-			FullKey:     c.Key,
-			Key:         key,
-			Scheme:      c.Scheme,
-			Experiments: c.Experiments,
-		})
-		c.Cfg = cfg
-		c.Key = key
-	}
-	sort.Slice(sampled, func(i, j int) bool { return sampled[i].FullKey < sampled[j].FullKey })
-	p.Sampled = append(p.Sampled, sampled...)
-	return sampled
-}
-
 // ExecOptions tunes SweepPlan.ExecuteOpts.
 type ExecOptions struct {
 	// Parallelism bounds concurrent cells (0 = GOMAXPROCS).
@@ -328,9 +267,6 @@ type ExecReport struct {
 	Retries int
 	// Failed counts cells that exhausted their attempts.
 	Failed int
-	// Sampled counts full-fidelity keys served by aliasing their sampled
-	// cell's result (see SweepPlan.Sample).
-	Sampled int
 	// JournalPath is the plan's journal file ("" when executing without
 	// a persistent cache directory).
 	JournalPath string
@@ -513,29 +449,6 @@ func (p *SweepPlan) ExecuteOpts(ctx context.Context, opts ExecOptions) (*ExecRep
 		}()
 	}
 	wg.Wait()
-
-	// Serve sampled cells: alias each original full-fidelity key to its
-	// sampled cell's completed result in the in-process cache tier, so
-	// the render phase, which asks for the full-fidelity keys, reads the
-	// sampled figures without simulating. When the sampled cell did not
-	// complete (failure, cancellation) the alias is skipped and the
-	// render phase simulates the key at full fidelity — slower, but never
-	// wrong.
-	if ctx.Err() == nil {
-		for _, sc := range p.Sampled {
-			i, ok := index[sc.Key]
-			if !ok || !done[i] {
-				continue
-			}
-			c := &p.Cells[i]
-			res, err := runSimCtx(ctx, c.Cfg, c.Specs, c.Scheme)
-			if err != nil {
-				continue // the sampled cell's own failure surfaces below
-			}
-			theRunCache.installAlias(sc.FullKey, res)
-			rep.Sampled++
-		}
-	}
 
 	// Cancellation is reported alone: callers distinguish "the user
 	// stopped the sweep" (resume later) from "cells failed".

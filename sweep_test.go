@@ -180,89 +180,6 @@ func TestSweepExecuteRenderByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSweepPlanSample checks the sweep's fidelity dial: Sample rewrites
-// every eligible cell to the interval-sampling tier under a new cache
-// key, the executor simulates only the sampled cells, and the render
-// phase — which asks for the original full-fidelity keys — is served
-// entirely by the post-execution aliases, never by fresh simulation.
-func TestSweepPlanSample(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy")
-	}
-	ResetRunCache()
-	SetRunCaching(true)
-	defer ResetRunCache()
-
-	opts := sweepTestOpts()
-	plan, err := PlanSweep(sweepTestExperiments(opts, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullHash := plan.Hash()
-	fullKeys := map[string]bool{}
-	for _, c := range plan.Cells {
-		fullKeys[c.Key] = true
-	}
-
-	// Out-of-range fractions are a no-op, not a surprise rewrite.
-	if sc := plan.Sample(0, 0); sc != nil {
-		t.Fatalf("Sample(0) rewrote %d cells, want none", len(sc))
-	}
-	if sc := plan.Sample(1, 0); sc != nil {
-		t.Fatalf("Sample(1) rewrote %d cells, want none", len(sc))
-	}
-
-	sampled := plan.Sample(0.5, 20_000)
-	if len(sampled) != len(plan.Cells) {
-		t.Fatalf("Sample rewrote %d of %d cells; every non-clustered cell is eligible", len(sampled), len(plan.Cells))
-	}
-	if plan.Hash() == fullHash {
-		t.Error("sampled plan hashes identically to the full-fidelity plan; journals would mix tiers")
-	}
-	for _, sc := range sampled {
-		if !fullKeys[sc.FullKey] {
-			t.Errorf("sampled cell's FullKey %s is not a planned full-fidelity key", sc.FullKey[:12])
-		}
-		if fullKeys[sc.Key] {
-			t.Errorf("sampled cell key %s collides with a full-fidelity key", sc.Key[:12])
-		}
-	}
-	for _, c := range plan.Cells {
-		if !c.Cfg.SamplingOn() {
-			t.Fatalf("cell %s not rewritten to the sampled tier", c.Key[:12])
-		}
-	}
-
-	rep, err := plan.ExecuteOpts(nil, ExecOptions{Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	afterExec := RunCacheDetail()
-	if int(afterExec.Sims) != len(plan.Cells) {
-		t.Errorf("execute ran %d sims for %d sampled cells", afterExec.Sims, len(plan.Cells))
-	}
-	if rep.Sampled != len(sampled) {
-		t.Errorf("report says %d full-fidelity keys served, want %d", rep.Sampled, len(sampled))
-	}
-
-	// Render: the drivers re-run with full-fidelity configs and must be
-	// fed by the aliases — zero additional simulations.
-	got := map[string]string{}
-	for _, e := range sweepTestExperiments(opts, got) {
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if d := RunCacheDetail(); d.Sims != afterExec.Sims {
-		t.Errorf("render phase simulated %d extra cells; full keys must be served by the sampled aliases", d.Sims-afterExec.Sims)
-	}
-	for name, out := range got {
-		if out == "" {
-			t.Errorf("%s rendered empty output", name)
-		}
-	}
-}
-
 // TestPlanSweepUnplannable checks that custom-policy experiments are
 // reported rather than silently simulated during planning, and that
 // RunWithPolicy refuses to run inside a dry run.
