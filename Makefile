@@ -195,21 +195,24 @@ arena-smoke:
 
 # sample-smoke is the CI guard for the sampled-simulation tier (interval
 # sampling with functional fast-forward). Under the race detector it runs
-# the exactness contracts — the sampled goldens, fraction 1.0
-# byte-identical to the full run across schemes/seeds/faults, sampled-run
-# determinism, the error-shrinks-with-fraction property, the validation
-# rejections and the run-key normalisation guard — the fast-forward
-# pipeline's failure paths (a back-end panic, cancellation mid-span, a
-# span that would start with a memory request in flight), and the pinned
-# deviation that the tier reverses Fig. 5 (TestSampledTierReversesFig5).
-# Then the TestSampled tests run again on one P (GOMAXPROCS=1), where the
-# pipeline's two goroutines take turns on one thread: a hand-off that
-# spins instead of blocking hangs there (the 5m timeout fails it). Then
-# it enforces the committed accuracy/speedup envelope
+# the exactness contracts — the channel's functional access charging the
+# same bank timing as its event path (TestFunctionalAccessMatchesIssue),
+# the sampled goldens, fraction 1.0 byte-identical to the full run across
+# schemes/seeds/faults, sampled-run determinism, the
+# error-shrinks-with-fraction property, the validation rejections and the
+# run-key normalisation guard — the fast-forward pipeline's failure paths
+# (a back-end panic, cancellation mid-span, a span that would start with a
+# memory request in flight), and the pinned deviation that the tier
+# reverses Fig. 5 (TestSampledTierReversesFig5). Then the TestSampled
+# tests run again on one P (GOMAXPROCS=1), where the pipeline's two
+# goroutines take turns on one thread: a hand-off that spins instead of
+# blocking hangs there (the 5m timeout fails it). Then it enforces the
+# committed accuracy/speedup envelope
 # (testdata/sample_envelope.json) at standard scale, and finally drives
 # a real sampled professim run, which must report at least one detailed
 # window at the requested fraction and the default window.
 sample-smoke:
+	$(GO) test -race -count=1 -run 'TestFunctionalAccessMatchesIssue' ./internal/mem
 	$(GO) test -race -count=1 -run 'TestSampled|TestSamplingValidation|TestRunContextCancellation|TestFastForwardNeedsQuiescedMachine' ./internal/sim
 	GOMAXPROCS=1 $(GO) test -count=1 -timeout 5m -run 'TestSampled' ./internal/sim
 	$(GO) test -race -count=1 -run 'TestRunKeySamplingNormalised|TestSampledTierReversesFig5' .

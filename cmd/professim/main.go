@@ -143,7 +143,7 @@ func main() {
 		runSingle(*program, schemeList, cfg, *threads, *jsonOut, *telePath)
 		return
 	}
-	runWorkload(*mix, schemeList, cfg, *baseline, *telePath)
+	runWorkload(*mix, schemeList, cfg, *baseline, *jsonOut, *telePath)
 }
 
 // telemetryPath derives the per-scheme export file: with several schemes
@@ -221,11 +221,7 @@ func runSingle(program string, schemes []profess.Scheme, cfg profess.Config, thr
 		}
 		exportTelemetry(telemetryPath(telePath, s, len(schemes) > 1), s, res, cfg)
 		if jsonOut {
-			out, err := profess.ResultJSON(res)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Println(out)
+			printJSON(profess.ResultJSON(res))
 			continue
 		}
 		c := res.PerCore[0]
@@ -264,11 +260,7 @@ func runScale16Preset(schemes []profess.Scheme, cfg profess.Config, jsonOut bool
 		}
 		exportTelemetry(telemetryPath(telePath, s, len(schemes) > 1), s, res, cfg)
 		if jsonOut {
-			out, err := profess.ResultJSON(res)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Println(out)
+			printJSON(profess.ResultJSON(res))
 			continue
 		}
 		t := stats.NewTable("program", "IPC", "M1 frac", "STC hit", "swaps")
@@ -285,9 +277,11 @@ func runScale16Preset(schemes []profess.Scheme, cfg profess.Config, jsonOut bool
 	}
 }
 
-func runWorkload(name string, schemes []profess.Scheme, cfg profess.Config, baselines bool, telePath string) {
+func runWorkload(name string, schemes []profess.Scheme, cfg profess.Config, baselines, jsonOut bool, telePath string) {
 	cache := profess.NewBaselineCache()
-	fmt.Printf("workload %s (%d instructions per program, scale %.4f)\n\n", name, cfg.Instructions, cfg.Scale)
+	if !jsonOut {
+		fmt.Printf("workload %s (%d instructions per program, scale %.4f)\n\n", name, cfg.Instructions, cfg.Scale)
+	}
 	for _, s := range schemes {
 		if !baselines {
 			res, err := profess.RunMixContext(runCtx, name, s, cfg)
@@ -295,6 +289,10 @@ func runWorkload(name string, schemes []profess.Scheme, cfg profess.Config, base
 				fatal(err)
 			}
 			exportTelemetry(telemetryPath(telePath, s, len(schemes) > 1), s, res, cfg)
+			if jsonOut {
+				printJSON(profess.ResultJSON(res))
+				continue
+			}
 			t := stats.NewTable("program", "IPC", "M1 frac", "repeats")
 			for _, c := range res.PerCore {
 				t.AddRowf(c.Program, c.IPC, c.M1Fraction, c.Repeats)
@@ -311,6 +309,10 @@ func runWorkload(name string, schemes []profess.Scheme, cfg profess.Config, base
 			fatal(err)
 		}
 		exportTelemetry(telemetryPath(telePath, s, len(schemes) > 1), s, wr.Result, cfg)
+		if jsonOut {
+			printJSON(profess.WorkloadResultJSON(wr))
+			continue
+		}
 		t := stats.NewTable("program", "IPC", "IPC alone", "slowdown", "M1 frac")
 		for i, c := range wr.Result.PerCore {
 			t.AddRowf(c.Program, c.FirstIPC, wr.AloneIPC[i], wr.Slowdowns[i], c.M1Fraction)
@@ -321,6 +323,14 @@ func runWorkload(name string, schemes []profess.Scheme, cfg profess.Config, base
 		printNVMWear(string(s), wr.Result)
 		printResilience(string(s), wr.Result)
 	}
+}
+
+// printJSON prints one run's JSON rendering, or exits on its error.
+func printJSON(out string, err error) {
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Println(out)
 }
 
 // printSampleInfo reports the sampling parameters and the per-program IPC

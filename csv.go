@@ -100,27 +100,3 @@ func (r *AMMATReport) CSV() string {
 	}
 	return b.String()
 }
-
-// Bars renders a simple horizontal ASCII bar chart of a normalised series
-// (1.0 = baseline), used by professbench to sketch the figures in the
-// terminal. Bars are scaled to width characters at maxVal.
-func Bars(series map[string]float64, width int) string {
-	if width <= 0 {
-		width = 50
-	}
-	var maxVal float64
-	for _, v := range series {
-		if v > maxVal {
-			maxVal = v
-		}
-	}
-	if maxVal <= 0 {
-		return ""
-	}
-	var b strings.Builder
-	for _, k := range sortedKeys(series) {
-		n := int(series[k] / maxVal * float64(width))
-		fmt.Fprintf(&b, "%-8s %6.3f %s\n", k, series[k], strings.Repeat("#", n))
-	}
-	return b.String()
-}

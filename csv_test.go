@@ -77,22 +77,6 @@ func TestCSVQuoting(t *testing.T) {
 	}
 }
 
-func TestBars(t *testing.T) {
-	s := Bars(map[string]float64{"w09": 1.0, "w12": 0.5}, 10)
-	if !strings.Contains(s, "w09") || !strings.Contains(s, "##########") {
-		t.Errorf("bars:\n%s", s)
-	}
-	if !strings.Contains(s, "#####") {
-		t.Errorf("half bar missing:\n%s", s)
-	}
-	if Bars(nil, 10) != "" {
-		t.Error("empty series should render empty")
-	}
-	if Bars(map[string]float64{"a": 0}, 10) != "" {
-		t.Error("all-zero series should render empty")
-	}
-}
-
 // TestReportsImplementCSVer pins the CSV surface used by professbench.
 func TestReportsImplementCSVer(t *testing.T) {
 	for _, v := range []interface{}{

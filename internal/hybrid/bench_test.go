@@ -51,7 +51,7 @@ func BenchmarkController_Submit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		addr := vmap[i%len(vmap)]*l.PageBytes + int64(i%32)*64
-		ctl.SubmitHandler(0, addr, i%4 == 0, sink, int64(i))
+		ctl.Submit(0, addr, i%4 == 0, sink, int64(i))
 		q.Drain()
 	}
 	if sink.n != int64(b.N) {
@@ -115,7 +115,7 @@ func TestSubmitSteadyStateAllocs(t *testing.T) {
 			sink := &benchSink{}
 			i := 0
 			assertSteadyAllocs(t, ctl, ws.evicting, func() {
-				ctl.SubmitHandler(0, addr(i), false, sink, 0)
+				ctl.Submit(0, addr(i), false, sink, 0)
 				q.Drain()
 				i++
 			})
@@ -150,7 +150,7 @@ func TestStoppedRunResetAllocs(t *testing.T) {
 	sink := &benchSink{}
 	run := func() {
 		for i := 0; i < 256; i++ {
-			ctl.SubmitHandler(0, addr(i), i%4 == 0, sink, 0)
+			ctl.Submit(0, addr(i), i%4 == 0, sink, 0)
 			if i%16 == 15 {
 				q.Step()
 			}

@@ -61,21 +61,15 @@ type ControllerConfig struct {
 	// Swap-group Table misses and dirty evictions (§2.2/§3.2.1). Disabled
 	// only by ablation studies.
 	ModelSTTraffic bool
-
-	// RetryMax bounds how many times a transiently-failed NVM burst is
-	// re-issued before the controller gives up (0 = DefaultRetryMax).
-	RetryMax int
-	// RetryBackoff is the delay before the first re-issue, in cycles;
-	// each further retry doubles it (0 = DefaultRetryBackoff).
-	RetryBackoff int64
 }
 
-// DefaultRetryMax and DefaultRetryBackoff are the §-free engineering
-// defaults of the transient-fault tolerance: up to 3 re-issues, starting
-// 64 cycles after the failed burst and doubling (64, 128, 256).
+// RetryMax and RetryBackoff are the §-free engineering constants of the
+// transient-fault tolerance: a transiently-failed NVM burst is re-issued
+// up to 3 times, starting 64 cycles after the failed burst and doubling
+// (64, 128, 256), before the controller gives up on it.
 const (
-	DefaultRetryMax     = 3
-	DefaultRetryBackoff = 64
+	RetryMax     = 3
+	RetryBackoff = 64
 )
 
 // Controller is the hardware memory-side of the simulated system: it owns
@@ -145,8 +139,9 @@ type Controller struct {
 	// the sampled execution mode.
 	ffNow int64
 	// ffSwaps queues swaps the policy requested during a FunctionalAccess;
-	// they commit after the access, mirroring the event path where the
-	// swap trails the access that triggered it.
+	// they are charged and commit after the access. (The event path
+	// charges such a swap on the channel before the access's own burst,
+	// which then waits it out; only the commit trails the access there.)
 	ffSwaps []ffSwap
 }
 
@@ -317,12 +312,6 @@ func NewController(cfg ControllerConfig, chans []*mem.Channel, alloc *Allocator,
 	if l.Slots() > MaxSlots {
 		return nil, fmt.Errorf("hybrid: %d locations per group exceed the hardware bound %d", l.Slots(), MaxSlots)
 	}
-	if cfg.RetryMax <= 0 {
-		cfg.RetryMax = DefaultRetryMax
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = DefaultRetryBackoff
-	}
 	c := &Controller{
 		cfg:       cfg,
 		layout:    l,
@@ -486,25 +475,30 @@ func (c *Controller) ReadLatencyGap() int64 {
 	return cfg.M2Timing.ReadMissLatency() - cfg.M1Timing.ReadMissLatency()
 }
 
-// accessOp is the pooled per-access record of one demand access moving
-// through the controller. It replaces the chain of closures the previous
-// Submit/serve allocated per access: the embedded Request is what the
-// channel queues, the record is the request's completion sink (mem.Doner)
-// and its own retry timer (event.Handler), so a steady-state access
-// allocates nothing.
-type accessOp struct {
-	c        *Controller
+// demand is one demand access decoded from its original address: the
+// requesting program, the block's swap group and slot, and the channel
+// that group lives on. The event path keeps it in its accessOp.
+type demand struct {
 	core     int
 	group    int64
 	slot     int
 	chIdx    int
 	origAddr int64
 	write    bool
+}
+
+// accessOp is the pooled per-access record of one demand access moving
+// through the controller on the event path: the embedded Request is what
+// the channel queues, the record is the request's completion sink
+// (mem.Doner) and its own retry timer (event.Handler), so a steady-state
+// access allocates nothing.
+type accessOp struct {
+	demand
+	c        *Controller
 	submitAt int64
 	attempt  int
-	done     event.Handler // handler-based completion (zero-alloc path)
+	done     event.Handler
 	token    int64
-	onDone   func(now, latency int64) // closure-based completion (compat)
 	req      mem.Request
 }
 
@@ -545,10 +539,10 @@ func (c *Controller) releaseOp(op *accessOp) {
 // does not wedge (the simulated data is synthetic anyway).
 func (op *accessOp) RequestDone(now int64, r *mem.Request) {
 	c := op.c
-	if r.Faulted && op.attempt < c.cfg.RetryMax {
+	if r.Faulted && op.attempt < RetryMax {
 		op.attempt++
 		c.Resilience.Retries++
-		c.sched.Schedule(now+c.cfg.RetryBackoff<<(op.attempt-1), op, 0, nil)
+		c.sched.Schedule(now+RetryBackoff<<(op.attempt-1), op, 0, nil)
 		return
 	}
 	if r.Faulted {
@@ -560,13 +554,10 @@ func (op *accessOp) RequestDone(now int64, r *mem.Request) {
 		cs.ReadCount++
 		c.readHist[op.core].Add(float64(now - op.submitAt))
 	}
-	latency := now - op.submitAt
-	done, token, onDone := op.done, op.token, op.onDone
+	done, token := op.done, op.token
 	c.releaseOp(op)
 	if done != nil {
 		done.HandleEvent(now, token, nil)
-	} else if onDone != nil {
-		onDone(now, latency)
 	}
 }
 
@@ -631,26 +622,13 @@ func (c *Controller) putWaiters(s []*accessOp) {
 }
 
 // Submit admits one 64-B demand access at the original physical address.
-// onDone (optional) fires when the data burst completes, with the total
-// latency from submission. This is the closure-based compatibility
-// surface; hot paths use SubmitHandler.
-func (c *Controller) Submit(core int, origAddr int64, write bool, onDone func(now, latency int64)) {
-	op := c.newOp(core, origAddr, write)
-	op.onDone = onDone
-	c.submit(op)
-}
-
-// SubmitHandler is the zero-allocation variant of Submit: completion is
-// delivered as done.HandleEvent(now, token, nil) on a pre-bound handler
-// instead of a freshly-allocated closure.
-func (c *Controller) SubmitHandler(core int, origAddr int64, write bool, done event.Handler, token int64) {
+// When its data burst completes, done (if non-nil) receives
+// HandleEvent(now, token, nil): a pre-bound handler, so a steady-state
+// access allocates nothing. Posted writebacks pass a nil done.
+func (c *Controller) Submit(core int, origAddr int64, write bool, done event.Handler, token int64) {
 	op := c.newOp(core, origAddr, write)
 	op.done = done
 	op.token = token
-	c.submit(op)
-}
-
-func (c *Controller) submit(op *accessOp) {
 	stc := c.stcs[op.chIdx]
 	if e := stc.Lookup(op.group); e != nil {
 		c.Cores[op.core].STCHits++
@@ -687,8 +665,7 @@ func (c *Controller) submit(op *accessOp) {
 // fillGroup installs a group's ST line into the STC and serves the access
 // that missed plus every coalesced waiter.
 func (c *Controller) fillGroup(first *accessOp) {
-	group, chIdx := first.group, first.chIdx
-	stc := c.stcs[chIdx]
+	group := first.group
 	qac := c.qacAt(group)
 	if c.inj.Fire(fault.QACCorruption) {
 		// ST metadata corrupted on the fill path: one QAC value of this
@@ -697,57 +674,74 @@ func (c *Controller) fillGroup(first *accessOp) {
 		s := c.inj.Intn(int(c.slots))
 		qac[s] = c.inj.CorruptByte(qac[s])
 	}
-	if ev := stc.Insert(group, qac); ev != nil {
-		c.handleEviction(chIdx, ev)
-	}
-	c.serve(first, stc.Peek(group))
+	e := c.install(first.chIdx, group, qac)
+	c.serve(first, e)
 	waiters := c.pendingST[group]
 	delete(c.pendingST, group)
 	for _, w := range waiters {
-		c.serve(w, stc.Peek(group))
+		c.serve(w, e)
 	}
 	c.putWaiters(waiters)
 }
 
-// serve translates and issues the demand access, updates counters, and
-// consults the migration policy.
+// install caches group's ST line, with the given QAC values, in channel
+// chIdx's STC, handles the entry it displaces and returns the new entry.
+func (c *Controller) install(chIdx int, group int64, qac [MaxSlots]uint8) *STCEntry {
+	stc := c.stcs[chIdx]
+	if ev := stc.Insert(group, qac); ev != nil {
+		c.handleEviction(chIdx, ev)
+	}
+	return stc.Peek(group)
+}
+
+// serve accounts the demand access and issues it to its channel.
 func (c *Controller) serve(op *accessOp, e *STCEntry) {
-	loc := c.permAt(op.group, op.slot)
+	k, bank, row := c.account(&op.demand, e, c.sched.Now())
+	op.req = mem.Request{Module: k, Bank: bank, Row: row, IsWrite: op.write, Core: op.core, Done: op}
+	c.chans[op.chIdx].Enqueue(&op.req)
+}
+
+// account does the bookkeeping of one demand access at cycle now, with e
+// its group's STC entry, that the event path (serve) and the fast-forward
+// path (FunctionalAccess) share: the weighted QAC bump, the per-core
+// counters and the policy's OnServed and OnAccess. It returns where the
+// access goes on its channel: module, bank and row.
+func (c *Controller) account(d *demand, e *STCEntry, now int64) (mem.Kind, int, int64) {
+	loc := c.permAt(d.group, d.slot)
 	weight := 1
-	if op.write {
+	if d.write {
 		weight = c.policy.WriteWeight()
 	}
-	e.Bump(op.slot, weight)
+	e.Bump(d.slot, weight)
 
-	region := c.xl.region(op.group)
-	private := c.alloc.IsPrivate(op.core, region)
+	region := c.xl.region(d.group)
+	private := c.alloc.IsPrivate(d.core, region)
 	fromM1 := loc == 0
-	cs := &c.Cores[op.core]
+	cs := &c.Cores[d.core]
 	cs.Served++
 	if fromM1 {
 		cs.ServedM1++
 	}
-	if op.write {
+	if d.write {
 		cs.Writes++
 	} else {
 		cs.Reads++
 	}
-	c.policy.OnServed(op.core, region, private, fromM1)
+	c.policy.OnServed(d.core, region, private, fromM1)
 	c.policy.OnAccess(AccessInfo{
-		Now:   c.sched.Now(),
-		Core:  op.core,
-		Group: op.group,
-		Slot:  op.slot,
+		Now:   now,
+		Core:  d.core,
+		Group: d.group,
+		Slot:  d.slot,
 		Loc:   loc,
-		Write: op.write,
+		Write: d.write,
 		Entry: e,
 	}, c)
 
-	location := c.xl.locationOf(op.group, loc)
-	offset := c.xl.blockOffset(op.origAddr)
-	bank, row := c.geo[op.chIdx][location.Module].decompose(location.ByteAddr + offset)
-	op.req = mem.Request{Module: location.Module, Bank: bank, Row: row, IsWrite: op.write, Core: op.core, Done: op}
-	c.chans[op.chIdx].Enqueue(&op.req)
+	location := c.xl.locationOf(d.group, loc)
+	offset := c.xl.blockOffset(d.origAddr)
+	bank, row := c.geo[d.chIdx][location.Module].decompose(location.ByteAddr + offset)
+	return location.Module, bank, row
 }
 
 // handleEviction persists QAC updates, feeds MDM statistics, and issues
@@ -792,82 +786,49 @@ func (c *Controller) handleEviction(chIdx int, ev *STCEviction) {
 // FunctionalAccess serves one demand access entirely without events — the
 // fast-forward path of the sampled execution mode. The access runs the
 // same semantic pipeline as Submit: STC lookup (miss → ST line fill charge
-// + install + eviction), QAC bump, per-core counters, policy OnServed /
-// OnAccess, translation through the live permutation, and a channel charge
-// at the translated location — so every piece of state that carries
-// history (STC contents, QACs, policy counters, swap-group residency,
-// wear) keeps warming exactly as it would under the cycle model. Only the
-// timing is approximate: the channels charge their closed-form occupancy
-// estimate, and swaps requested by the policy commit synchronously after
-// the access. Nothing is returned, since a fast-forwarding core does not
-// wait on memory. Fault injection for NVM transients and stalls does not
-// run here (those faults fire only inside detailed windows); ST-metadata
-// faults still fire whenever ST lines move.
+// + install + eviction), then the shared demand accounting (QAC bump,
+// per-core counters, policy OnServed / OnAccess, translation through the
+// live permutation) and a channel charge at the translated location — so
+// every piece of state that carries history (STC contents, QACs, policy
+// counters, swap-group residency, wear) keeps warming exactly as it would
+// under the cycle model. Only the timing is approximate: the channels
+// charge their closed-form occupancy estimate, and swaps requested by the
+// policy are charged and commit synchronously after the access, where the
+// event path charges them before it. Nothing is returned, since a
+// fast-forwarding core does not wait on memory. Fault injection for NVM
+// transients and stalls does not run here (those faults fire only inside
+// detailed windows). ST-metadata faults fire on STC evictions, but the ST
+// line fill draws none: only the event path's fillGroup does.
 func (c *Controller) FunctionalAccess(core int, origAddr int64, write bool, now int64) {
 	c.ffNow = now
+	// d is filled field by field: a demand built as a literal or returned
+	// by a helper is copied through the stack, which measurably slowed
+	// this path.
+	var d demand
 	block := c.xl.block(origAddr)
-	group := c.xl.group(block)
-	slot := c.xl.slot(block)
-	chIdx := c.xl.channel(group)
-	stc := c.stcs[chIdx]
-
+	d.core, d.origAddr, d.write = core, origAddr, write
+	d.group = c.xl.group(block)
+	d.slot = c.xl.slot(block)
+	d.chIdx = c.xl.channel(d.group)
 	var fillLat int64
-	e := stc.Lookup(group)
+	e := c.stcs[d.chIdx].Lookup(d.group)
 	if e != nil {
 		c.Cores[core].STCHits++
 	} else {
 		c.Cores[core].STCMisses++
 		if c.cfg.ModelSTTraffic {
 			c.STReads++
-			bank, row := c.geo[chIdx][mem.M1].decompose(c.layout.STLineAddr(group))
-			fillLat = c.chans[chIdx].FunctionalAccess(mem.M1, bank, row, false, now)
+			bank, row := c.geo[d.chIdx][mem.M1].decompose(c.layout.STLineAddr(d.group))
+			fillLat = c.chans[d.chIdx].FunctionalAccess(mem.M1, bank, row, false, now)
 		}
-		qac := c.qacAt(group)
-		if ev := stc.Insert(group, qac); ev != nil {
-			c.handleEviction(chIdx, ev)
-		}
-		e = stc.Peek(group)
+		e = c.install(d.chIdx, d.group, c.qacAt(d.group))
 	}
-
-	loc := c.permAt(group, slot)
-	weight := 1
-	if write {
-		weight = c.policy.WriteWeight()
-	}
-	e.Bump(slot, weight)
-
-	region := c.xl.region(group)
-	private := c.alloc.IsPrivate(core, region)
-	fromM1 := loc == 0
-	cs := &c.Cores[core]
-	cs.Served++
-	if fromM1 {
-		cs.ServedM1++
-	}
-	if write {
-		cs.Writes++
-	} else {
-		cs.Reads++
-	}
-	c.policy.OnServed(core, region, private, fromM1)
-	c.policy.OnAccess(AccessInfo{
-		Now:   now,
-		Core:  core,
-		Group: group,
-		Slot:  slot,
-		Loc:   loc,
-		Write: write,
-		Entry: e,
-	}, c)
-
-	location := c.xl.locationOf(group, loc)
-	offset := c.xl.blockOffset(origAddr)
-	bank, row := c.geo[chIdx][location.Module].decompose(location.ByteAddr + offset)
+	k, bank, row := c.account(&d, e, now)
 	// The channel charge warms occupancy, wear and event counts; its
 	// latency estimate is deliberately kept out of the per-core
 	// read-latency statistics, which report only cycle-accurate samples
 	// from detailed windows.
-	c.chans[chIdx].FunctionalAccess(location.Module, bank, row, write, now+fillLat)
+	c.chans[d.chIdx].FunctionalAccess(k, bank, row, write, now+fillLat)
 	if len(c.ffSwaps) > 0 {
 		c.drainFFSwaps(now)
 	}

@@ -38,15 +38,15 @@ func TestTransientRetryBoundsAndBackoff(t *testing.T) {
 	h.ctl.Channels()[0].SetFaultInjector(inj.Fork(1))
 	lat := h.submit(addr, false)
 
-	if h.ctl.Resilience.Retries != int64(DefaultRetryMax) {
-		t.Errorf("retries = %d, want %d", h.ctl.Resilience.Retries, DefaultRetryMax)
+	if h.ctl.Resilience.Retries != int64(RetryMax) {
+		t.Errorf("retries = %d, want %d", h.ctl.Resilience.Retries, RetryMax)
 	}
 	if h.ctl.Resilience.Drops != 1 {
 		t.Errorf("drops = %d, want 1", h.ctl.Resilience.Drops)
 	}
 	// The observed latency includes every failed attempt plus the
 	// exponential backoff schedule (64 + 128 + 256 cycles).
-	minExtra := int64(DefaultRetryBackoff) * (1 + 2 + 4)
+	minExtra := int64(RetryBackoff) * (1 + 2 + 4)
 	if lat < base+minExtra {
 		t.Errorf("faulted latency %d should exceed clean %d by at least %d", lat, base, minExtra)
 	}
@@ -74,7 +74,7 @@ func TestTransientRetrySucceedsWithinBudget(t *testing.T) {
 	if res.Drops > n/3 {
 		t.Errorf("drops = %d of %d, retry budget not effective", res.Drops, n)
 	}
-	if res.Drops+int64(n) < res.Retries/int64(DefaultRetryMax) {
+	if res.Drops+int64(n) < res.Retries/int64(RetryMax) {
 		t.Errorf("implausible tally: %+v", res)
 	}
 }

@@ -91,9 +91,17 @@ func (h *ctlHarness) addrOf(page int, offset int64) int64 {
 	return h.vmap[page]*h.layout.PageBytes + offset
 }
 
+// doneAt adapts a plain function to event.Handler for tests: it receives
+// the access's completion cycle.
+type doneAt func(now int64)
+
+func (f doneAt) HandleEvent(now int64, _ int64, _ any) { f(now) }
+
+// submit runs one access to completion and returns its latency.
 func (h *ctlHarness) submit(addr int64, write bool) int64 {
 	var lat int64 = -1
-	h.ctl.Submit(0, addr, write, func(now, l int64) { lat = l })
+	start := h.q.Now()
+	h.ctl.Submit(0, addr, write, doneAt(func(now int64) { lat = now - start }), 0)
 	h.q.Drain()
 	return lat
 }
@@ -284,8 +292,8 @@ func TestMSHRCoalescing(t *testing.T) {
 	addr := h.addrOf(0, 0)
 	done := 0
 	// Two concurrent submits to the same group: one ST read only.
-	h.ctl.Submit(0, addr, false, func(int64, int64) { done++ })
-	h.ctl.Submit(0, addr+64, false, func(int64, int64) { done++ })
+	h.ctl.Submit(0, addr, false, doneAt(func(int64) { done++ }), 0)
+	h.ctl.Submit(0, addr+64, false, doneAt(func(int64) { done++ }), 0)
 	h.q.Drain()
 	if done != 2 {
 		t.Fatalf("completions = %d", done)

@@ -110,8 +110,8 @@ func TestMultiChannelController(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Even group -> channel 0, odd group -> channel 1.
-	ctl.Submit(0, l.Block(2, 0)*l.BlockBytes, false, nil)
-	ctl.Submit(0, l.Block(3, 0)*l.BlockBytes, false, nil)
+	ctl.Submit(0, l.Block(2, 0)*l.BlockBytes, false, nil, 0)
+	ctl.Submit(0, l.Block(3, 0)*l.BlockBytes, false, nil, 0)
 	q.Drain()
 	if chans[0].Counts.Reads[mem.M1] != 1 || chans[1].Counts.Reads[mem.M1] != 1 {
 		t.Errorf("channel traffic: ch0=%d ch1=%d", chans[0].Counts.Reads[mem.M1], chans[1].Counts.Reads[mem.M1])

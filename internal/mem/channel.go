@@ -237,8 +237,6 @@ func (ch *Channel) HandleEvent(now int64, i int64, p any) {
 		}
 		if r.Done != nil {
 			r.Done.RequestDone(now, r)
-		} else if r.OnDone != nil {
-			r.OnDone(now)
 		}
 		ch.tryDispatch(now)
 	case chEvDispatch:
@@ -247,7 +245,7 @@ func (ch *Channel) HandleEvent(now int64, i int64, p any) {
 }
 
 // Enqueue admits a request to the channel at the current time and attempts
-// to dispatch. The request's Done (or OnDone) fires when its data burst
+// to dispatch. The request's Done, if set, fires when its data burst
 // completes.
 func (ch *Channel) Enqueue(r *Request) {
 	now := ch.sched.Now()
@@ -374,18 +372,37 @@ func (ch *Channel) refresh(k Kind, t *Timing, b *bank, start int64) int64 {
 // issue performs the timing computation for one request leaving its bank
 // queue at now and returns the cycle its data burst completes.
 func (ch *Channel) issue(now int64, r *Request) int64 {
-	k := r.Module
-	t := &ch.timing[k]
-	b := &ch.banks[k][r.Bank]
+	done := ch.burst(r.Module, r.Bank, r.Row, r.IsWrite, now)
+	ch.banks[r.Module][r.Bank].inflight = true
+	ch.ready[r.Module] &^= 1 << uint(r.Bank)
+	// NVM transients: an M2 demand burst may fail after paying its full
+	// timing; the submitter sees Faulted and decides whether to retry.
+	if r.Module == M2 && r.Core >= 0 {
+		if r.IsWrite {
+			r.Faulted = ch.inj.Fire(fault.NVMWriteTransient)
+		} else {
+			r.Faulted = ch.inj.Fire(fault.NVMReadTransient)
+		}
+	}
+	return done
+}
 
-	start := now
+// burst books one 64-B burst to a row of bank bankIdx in partition k,
+// starting no earlier than start or the bank's own busy horizon, and
+// returns the cycle its data burst completes. It is the bank timing both
+// the event-driven path (issue) and the functional path (FunctionalAccess)
+// charge: refresh, row hit or precharge + activate, CL, the shared bus,
+// write recovery, the event counts and M2 wear.
+func (ch *Channel) burst(k Kind, bankIdx int, row int64, write bool, start int64) int64 {
+	t := &ch.timing[k]
+	b := &ch.banks[k][bankIdx]
 	if b.busyUntil > start {
 		start = b.busyUntil
 	}
 	// Refresh: landing inside a refresh window stalls past it; any
 	// refresh since the bank's last use closed its rows.
 	start = ch.refresh(k, t, b, start)
-	if b.openRow == r.Row {
+	if b.openRow == row {
 		ch.Counts.RowHits[k]++
 		b.hitStreak++
 	} else {
@@ -400,83 +417,10 @@ func (ch *Channel) issue(now int64, r *Request) int64 {
 		}
 		start += t.TRCD
 		ch.Counts.Activates[k]++
-		b.openRow = r.Row
-		b.hitStreak = 0
-	}
-	// Column command -> data on the bus. Writes use CL as CWL.
-	dataAt := start + t.CL
-	if dataAt < ch.busFreeAt {
-		dataAt = ch.busFreeAt
-	}
-	done := dataAt + t.Burst
-	ch.busFreeAt = done
-	ch.BusBusyCycles += t.Burst
-	b.busyUntil = done
-	if r.IsWrite {
-		b.writeRecoveryUntil = done + t.TWR
-		ch.Counts.Writes[k]++
-		if k == M2 {
-			ch.noteM2Write(r.Bank, r.Row, 1)
-		}
-	} else {
-		ch.Counts.Reads[k]++
-	}
-	b.inflight = true
-	ch.ready[k] &^= 1 << uint(r.Bank)
-	// NVM transients: an M2 demand burst may fail after paying its full
-	// timing; the submitter sees Faulted and decides whether to retry.
-	if r.Module == M2 && r.Core >= 0 {
-		if r.IsWrite {
-			r.Faulted = ch.inj.Fire(fault.NVMWriteTransient)
-		} else {
-			r.Faulted = ch.inj.Fire(fault.NVMReadTransient)
-		}
-	}
-	return done
-}
-
-// FunctionalAccess serves one 64-B access without the event-driven
-// scheduler: the fast-forward path of the sampled execution mode. Bank
-// row-buffer state, refresh accounting, demand counts and M2 wear update
-// exactly as issue() would, but no completion event is scheduled and the
-// FR-FCFS queue is bypassed — requests are charged in arrival order
-// against the bank and bus occupancy the channel carries at `now`, which
-// is the closed-form latency estimate: the unloaded timing plus the
-// (bounded) residual backlog. Because it reads and extends the same
-// busFreeAt/busyUntil state the detailed mode uses, occupancy carries
-// seamlessly across the detailed/fast-forward boundary in both
-// directions; the backlog bound (see the clamp below) is what keeps that
-// hand-off honest. Returns the access latency in cycles. Fault injection
-// does not apply (faults fire only in detailed windows).
-func (ch *Channel) FunctionalAccess(k Kind, bankIdx int, row int64, write bool, now int64) int64 {
-	t := &ch.timing[k]
-	b := &ch.banks[k][bankIdx]
-
-	start := now
-	if b.busyUntil > start {
-		start = b.busyUntil
-	}
-	if ch.blockedUntil > start {
-		start = ch.blockedUntil
-	}
-	start = ch.refresh(k, t, b, start)
-	if b.openRow == row {
-		ch.Counts.RowHits[k]++
-		b.hitStreak++
-	} else {
-		ch.Counts.RowMisses[k]++
-		if b.openRow >= 0 {
-			if b.writeRecoveryUntil > start {
-				start = b.writeRecoveryUntil
-			}
-			start += t.TRP
-			ch.Counts.Precharges[k]++
-		}
-		start += t.TRCD
-		ch.Counts.Activates[k]++
 		b.openRow = row
 		b.hitStreak = 0
 	}
+	// Column command -> data on the bus. Writes use CL as CWL.
 	dataAt := start + t.CL
 	if dataAt < ch.busFreeAt {
 		dataAt = ch.busFreeAt
@@ -494,6 +438,29 @@ func (ch *Channel) FunctionalAccess(k Kind, bankIdx int, row int64, write bool, 
 	} else {
 		ch.Counts.Reads[k]++
 	}
+	return done
+}
+
+// FunctionalAccess serves one 64-B access without the event-driven
+// scheduler: the fast-forward path of the sampled execution mode. It
+// charges the same burst as issue(), but no completion event is scheduled
+// and the FR-FCFS queue is bypassed: requests are charged in arrival order
+// against the bank and bus occupancy the channel carries at `now`, which
+// is the closed-form latency estimate: the unloaded timing plus the
+// (bounded) residual backlog. Two things differ from issue(): the charge
+// starts no earlier than the swap-blocking horizon, which issue() never
+// runs inside, and the backlog it leaves behind is clamped (below).
+// Because it reads and extends the same busFreeAt/busyUntil state the
+// detailed mode uses, occupancy carries seamlessly across the
+// detailed/fast-forward boundary in both directions; the backlog bound is
+// what keeps that hand-off honest. Returns the access latency in cycles.
+// Fault injection does not apply (faults fire only in detailed windows).
+func (ch *Channel) FunctionalAccess(k Kind, bankIdx int, row int64, write bool, now int64) int64 {
+	start := now
+	if ch.blockedUntil > start {
+		start = ch.blockedUntil
+	}
+	done := ch.burst(k, bankIdx, row, write, start)
 	// Bound the backlog. Functional arrivals are paced by measured IPC,
 	// not by completions, so nothing throttles them when they momentarily
 	// exceed the channel's service rate — without a bound the occupancy
@@ -510,6 +477,8 @@ func (ch *Channel) FunctionalAccess(k Kind, bankIdx int, row int64, write bool, 
 	// makes fast-forward spans nearly swap-free and the detailed windows
 	// absorb the deferred blocking as phantom extra contention. The swap
 	// horizon has its own bound in ffClampSwapHorizon.
+	t := &ch.timing[k]
+	b := &ch.banks[k][bankIdx]
 	lead := now + t.TRP + t.TRCD + t.CL + t.Burst + t.TWR
 	if ch.blockedUntil > lead {
 		lead = ch.blockedUntil
@@ -640,9 +609,6 @@ func (s *swapEnd) HandleEvent(now int64, token int64, p any) {
 	}
 	(*Channel)(s).tryDispatch(now)
 }
-
-// BlockedUntil exposes the current swap-blocking horizon (for tests).
-func (ch *Channel) BlockedUntil() int64 { return ch.blockedUntil }
 
 // String summarises the channel state.
 func (ch *Channel) String() string {

@@ -11,7 +11,7 @@ import (
 func runOne(t *testing.T, ch *Channel, q *event.Queue, r *Request) int64 {
 	t.Helper()
 	var lat int64 = -1
-	r.OnDone = func(now int64) { lat = now - r.Arrival }
+	r.Done = doneAt(func(now int64) { lat = now - r.Arrival })
 	ch.Enqueue(r)
 	q.Drain()
 	if lat < 0 {
@@ -24,6 +24,12 @@ func runOne(t *testing.T, ch *Channel, q *event.Queue, r *Request) int64 {
 type call func(now int64)
 
 func (f call) HandleEvent(now int64, _ int64, _ any) { f(now) }
+
+// doneAt adapts a plain function to Doner for tests: it receives the
+// request's completion cycle.
+type doneAt func(now int64)
+
+func (f doneAt) RequestDone(now int64, _ *Request) { f(now) }
 
 func newTestChannel() (*Channel, *event.Queue) {
 	q := &event.Queue{}
@@ -78,7 +84,7 @@ func TestWriteRecoveryDelaysConflict(t *testing.T) {
 	runOne(t, ch, q, &Request{Module: M2, Bank: 0, Row: 1, IsWrite: true})
 	base := q.Now()
 	var done int64
-	r := &Request{Module: M2, Bank: 0, Row: 2, OnDone: func(now int64) { done = now }}
+	r := &Request{Module: M2, Bank: 0, Row: 2, Done: doneAt(func(now int64) { done = now })}
 	ch.Enqueue(r)
 	q.Drain()
 	// The conflicting access must wait out t_WR before precharging.
@@ -94,7 +100,7 @@ func TestBankParallelismOverlaps(t *testing.T) {
 	var done [2]int64
 	for i := 0; i < 2; i++ {
 		i := i
-		ch.Enqueue(&Request{Module: M1, Bank: i, Row: 5, OnDone: func(now int64) { done[i] = now }})
+		ch.Enqueue(&Request{Module: M1, Bank: i, Row: 5, Done: doneAt(func(now int64) { done[i] = now })})
 	}
 	q.Drain()
 	// Two cold misses to different banks overlap their activates: the
@@ -109,7 +115,7 @@ func TestSameBankSerialises(t *testing.T) {
 	var done [2]int64
 	for i := 0; i < 2; i++ {
 		i := i
-		ch.Enqueue(&Request{Module: M1, Bank: 0, Row: 5, OnDone: func(now int64) { done[i] = now }})
+		ch.Enqueue(&Request{Module: M1, Bank: 0, Row: 5, Done: doneAt(func(now int64) { done[i] = now })})
 	}
 	q.Drain()
 	tm := ch.Config().M1Timing
@@ -126,9 +132,9 @@ func TestFRFCFSPrefersRowHit(t *testing.T) {
 	// requests queue together and the scheduler gets to reorder them.
 	runOne(t, ch, q, &Request{Module: M1, Bank: 0, Row: 1})
 	var order []string
-	ch.Enqueue(&Request{Module: M1, Bank: 0, Row: 1, OnDone: func(int64) { order = append(order, "busy") }})
-	ch.Enqueue(&Request{Module: M1, Bank: 0, Row: 9, OnDone: func(int64) { order = append(order, "miss") }})
-	ch.Enqueue(&Request{Module: M1, Bank: 0, Row: 1, OnDone: func(int64) { order = append(order, "hit") }})
+	ch.Enqueue(&Request{Module: M1, Bank: 0, Row: 1, Done: doneAt(func(int64) { order = append(order, "busy") })})
+	ch.Enqueue(&Request{Module: M1, Bank: 0, Row: 9, Done: doneAt(func(int64) { order = append(order, "miss") })})
+	ch.Enqueue(&Request{Module: M1, Bank: 0, Row: 1, Done: doneAt(func(int64) { order = append(order, "hit") })})
 	q.Drain()
 	if len(order) != 3 || order[1] != "hit" {
 		t.Errorf("completion order = %v, want the younger row hit before the older miss", order)
@@ -140,11 +146,11 @@ func TestFRFCFSCapLimitsStreak(t *testing.T) {
 	// Cold miss (streak 0) + in-flight hit (streak 1) occupy the bank.
 	runOne(t, ch, q, &Request{Module: M1, Bank: 0, Row: 1})
 	var order []string
-	ch.Enqueue(&Request{Module: M1, Bank: 0, Row: 1, OnDone: func(int64) { order = append(order, "busy") }})
+	ch.Enqueue(&Request{Module: M1, Bank: 0, Row: 1, Done: doneAt(func(int64) { order = append(order, "busy") })})
 	// One old conflicting request plus five row hits queue behind it.
-	ch.Enqueue(&Request{Module: M1, Bank: 0, Row: 9, OnDone: func(int64) { order = append(order, "miss") }})
+	ch.Enqueue(&Request{Module: M1, Bank: 0, Row: 9, Done: doneAt(func(int64) { order = append(order, "miss") })})
 	for i := 0; i < 5; i++ {
-		ch.Enqueue(&Request{Module: M1, Bank: 0, Row: 1, OnDone: func(int64) { order = append(order, "hit") }})
+		ch.Enqueue(&Request{Module: M1, Bank: 0, Row: 1, Done: doneAt(func(int64) { order = append(order, "hit") })})
 	}
 	q.Drain()
 	if len(order) != 7 {
@@ -174,7 +180,7 @@ func TestSwapBlocksChannel(t *testing.T) {
 	)
 	// A demand request enqueued during the swap must wait until it ends.
 	var reqDone int64
-	ch.Enqueue(&Request{Module: M1, Bank: 5, Row: 2, OnDone: func(now int64) { reqDone = now }})
+	ch.Enqueue(&Request{Module: M1, Bank: 5, Row: 2, Done: doneAt(func(now int64) { reqDone = now })})
 	q.Drain()
 	if swapDone != end {
 		t.Errorf("swap completed at %d, expected %d", swapDone, end)

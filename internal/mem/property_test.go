@@ -27,7 +27,7 @@ func TestEveryRequestCompletesProperty(t *testing.T) {
 				want++
 				ch.Enqueue(&Request{
 					Module: kind, Bank: bank, Row: row, IsWrite: op%3 == 0,
-					OnDone: func(int64) { got++ },
+					Done: doneAt(func(int64) { got++ }),
 				})
 			}
 		}
@@ -56,11 +56,11 @@ func TestLatencyNonNegativeProperty(t *testing.T) {
 			delay := int64(i) * 7
 			q.Schedule(delay, call(func(int64) {
 				arrivalFloor := delay
-				r.OnDone = func(now int64) {
+				r.Done = doneAt(func(now int64) {
 					if now < arrivalFloor {
 						ok = false
 					}
-				}
+				})
 				ch.Enqueue(r)
 			}), 0, nil)
 		}
@@ -81,7 +81,7 @@ func TestBusSerialisesThroughput(t *testing.T) {
 	var last int64
 	for i := 0; i < n; i++ {
 		ch.Enqueue(&Request{Module: M1, Bank: i % 16, Row: int64(i % 4),
-			OnDone: func(now int64) { last = now }})
+			Done: doneAt(func(now int64) { last = now })})
 	}
 	q.Drain()
 	minCycles := int64(n) * ch.Config().M1Timing.Burst

@@ -13,7 +13,7 @@ func TestRefreshStallsRequests(t *testing.T) {
 	// Land a request just inside the second refresh window.
 	var done int64
 	q.Schedule(tm.TREFI+1, call(func(now int64) {
-		ch.Enqueue(&Request{Module: M1, Bank: 0, Row: 1, OnDone: func(n int64) { done = n }})
+		ch.Enqueue(&Request{Module: M1, Bank: 0, Row: 1, Done: doneAt(func(n int64) { done = n })})
 	}), 0, nil)
 	q.Drain()
 	minDone := tm.TREFI + tm.TRFC + tm.TRCD + tm.CL + tm.Burst

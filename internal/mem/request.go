@@ -23,24 +23,15 @@ type Request struct {
 	Core int
 
 	// Done, if non-nil, receives the completion of the request's data
-	// burst. It takes precedence over OnDone and is the zero-allocation
-	// path: submitters implement Doner on a pooled per-access record and
-	// bind it once, instead of allocating a closure per access.
+	// burst. Submitters implement Doner on a pooled per-access record and
+	// bind it once, so an access allocates no closure.
 	Done Doner
 
-	// OnDone, if non-nil (and Done is nil), is invoked when the request's
-	// data burst completes. now is the completion cycle. Retained as the
-	// closure-based compatibility surface for tests and simple callers.
-	OnDone func(now int64)
-
-	// Faulted is set by the channel (before OnDone fires) when a fault
+	// Faulted is set by the channel (before Done fires) when a fault
 	// injector failed this burst: the timing was paid but the data is
 	// unusable, and the submitter decides whether to retry.
 	Faulted bool
 }
-
-// Latency returns the queueing + service latency given a completion time.
-func (r *Request) Latency(done int64) int64 { return done - r.Arrival }
 
 // EventCounts tallies the channel activity that the energy model and the
 // figure-of-merit calculations consume.

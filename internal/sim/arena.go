@@ -2,9 +2,7 @@ package sim
 
 import (
 	"context"
-	"fmt"
 
-	"profess/internal/fault"
 	"profess/internal/hybrid"
 )
 
@@ -195,15 +193,8 @@ func (a *SystemArena) clusterMachine(k, n int, cfg Config, specs []ProgramSpec, 
 // builds for (cfg, specs, policy), reusing every allocation whose size is
 // fixed by the arena shape. The caller guarantees the shape matches.
 func (s *System) reset(cfg Config, specs []ProgramSpec, policy hybrid.Policy) error {
-	if err := cfg.Validate(); err != nil {
+	if err := checkFit(cfg, specs); err != nil {
 		return err
-	}
-	totalThreads := 0
-	for _, sp := range specs {
-		totalThreads += sp.threads()
-	}
-	if len(specs) == 0 || totalThreads > cfg.Cores {
-		return fmt.Errorf("sim: %d threads do not fit %d cores", totalThreads, cfg.Cores)
 	}
 	// Order matters only at the edges: the event wheel first (dropping
 	// every pending event, so stale ops cannot fire into reset state) and
@@ -223,20 +214,8 @@ func (s *System) reset(cfg Config, specs []ProgramSpec, policy hybrid.Policy) er
 	s.Cfg = cfg
 	s.Policy = policy
 	s.specs = specs
-	// Fault wiring mirrors NewSystem: same fork salts, same order, and no
-	// injector at all for a fault-free plan.
-	s.Inj = nil
-	if cfg.Faults.Enabled() {
-		inj := fault.NewInjector(cfg.Faults)
-		for i, ch := range s.Ctl.Channels() {
-			ch.SetFaultInjector(inj.Fork(uint64(i + 1)))
-		}
-		s.Ctl.SetFaultInjector(inj.Fork(0x100))
-		if fp, ok := policy.(interface{ SetFaultInjector(*fault.Injector) }); ok {
-			fp.SetFaultInjector(inj.Fork(0x200))
-		}
-		s.Inj = inj
-	}
+	// The resets above disarmed every injector.
+	s.Inj = wireFaults(cfg.Faults, s.Ctl, policy)
 	if err := s.buildCores(); err != nil {
 		return err
 	}

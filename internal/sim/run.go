@@ -45,23 +45,13 @@ func (s ProgramSpec) threads() int {
 // SpecsForWorkload builds the four program specs of a Table 10 mix at the
 // given capacity scale.
 func SpecsForWorkload(w workload.Workload, scale float64) ([]ProgramSpec, error) {
-	specs := make([]ProgramSpec, len(w.Programs))
-	seen := map[string]int{}
-	for i, name := range w.Programs {
-		prog, err := workload.ProgramByName(name)
-		if err != nil {
-			return nil, err
-		}
-		inst := seen[name]
-		seen[name] = inst + 1
-		specs[i] = ProgramSpec{Name: name, Params: prog.Params(scale, workload.Seed(name, inst))}
-	}
-	return specs, nil
+	return SpecsForPrograms(w.Programs[:], scale)
 }
 
 // SpecsForPrograms builds specs for an arbitrary program-name list at the
-// given scale, instancing repeated names like SpecsForWorkload does. This
-// is how the Fleet16 mix of the Scale16 configuration is materialised.
+// given scale: each repeated name is a further instance of the program,
+// seeded apart from the others. This is how the Table 10 mixes and the
+// Fleet16 mix of the Scale16 configuration are materialised.
 func SpecsForPrograms(names []string, scale float64) ([]ProgramSpec, error) {
 	specs := make([]ProgramSpec, len(names))
 	seen := map[string]int{}
@@ -181,14 +171,13 @@ type l3Frontend struct {
 }
 
 // Access implements cpu.Memory. The (done, token) pair is threaded through
-// unchanged — to the event calendar on a hit, to the controller's
-// handler-based submit path on a miss — so no closure is allocated on
-// either path.
+// unchanged — to the event calendar on a hit, to the controller on a
+// miss — so no closure is allocated on either path.
 func (f *l3Frontend) Access(coreID int, addr int64, write bool, done event.Handler, token int64) {
 	hit, ev, evicted := f.l3.Access(addr, write)
 	if evicted && ev.Dirty {
 		// Posted writeback: the core does not wait for it.
-		f.ctl.Submit(coreID, ev.Addr, true, nil)
+		f.ctl.Submit(coreID, ev.Addr, true, nil, 0)
 	}
 	if hit {
 		f.perCoreHits[coreID]++
@@ -196,7 +185,7 @@ func (f *l3Frontend) Access(coreID int, addr int64, write bool, done event.Handl
 		return
 	}
 	f.perCoreMisses[coreID]++
-	f.ctl.SubmitHandler(coreID, addr, false, done, token)
+	f.ctl.Submit(coreID, addr, false, done, token)
 }
 
 // System is a fully-wired simulated machine, exposed so examples and tests
@@ -224,15 +213,8 @@ type System struct {
 
 // NewSystem builds the machine for the given programs and policy.
 func NewSystem(cfg Config, specs []ProgramSpec, policy hybrid.Policy) (*System, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := checkFit(cfg, specs); err != nil {
 		return nil, err
-	}
-	totalThreads := 0
-	for _, s := range specs {
-		totalThreads += s.threads()
-	}
-	if len(specs) == 0 || totalThreads > cfg.Cores {
-		return nil, fmt.Errorf("sim: %d threads do not fit %d cores", totalThreads, cfg.Cores)
 	}
 	q := &event.Queue{}
 
@@ -267,21 +249,7 @@ func NewSystem(cfg Config, specs []ProgramSpec, policy hybrid.Policy) (*System, 
 		return nil, err
 	}
 
-	// Fault injection: only an enabled plan wires an injector, so the zero
-	// plan stays bit-identical to a fault-free build. Each consumer gets
-	// its own salted fork: per-component schedules then do not depend on
-	// how the events of other components interleave.
-	var inj *fault.Injector
-	if cfg.Faults.Enabled() {
-		inj = fault.NewInjector(cfg.Faults)
-		for i, ch := range chans {
-			ch.SetFaultInjector(inj.Fork(uint64(i + 1)))
-		}
-		ctl.SetFaultInjector(inj.Fork(0x100))
-		if fp, ok := policy.(interface{ SetFaultInjector(*fault.Injector) }); ok {
-			fp.SetFaultInjector(inj.Fork(0x200))
-		}
-	}
+	inj := wireFaults(cfg.Faults, ctl, policy)
 
 	l3 := cache.New(cache.ConfigForCapacity(cfg.L3Capacity, cfg.L3Ways))
 	front := &l3Frontend{
@@ -298,6 +266,43 @@ func NewSystem(cfg Config, specs []ProgramSpec, policy hybrid.Policy) (*System, 
 		return nil, err
 	}
 	return sys, nil
+}
+
+// checkFit rejects an invalid configuration, and programs whose threads
+// do not fit its cores.
+func checkFit(cfg Config, specs []ProgramSpec) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	totalThreads := 0
+	for _, s := range specs {
+		totalThreads += s.threads()
+	}
+	if len(specs) == 0 || totalThreads > cfg.Cores {
+		return fmt.Errorf("sim: %d threads do not fit %d cores", totalThreads, cfg.Cores)
+	}
+	return nil
+}
+
+// wireFaults arms the controller's channels, the controller and the policy
+// for the fault plan and returns the root injector. Only an enabled plan
+// wires an injector (nil is returned otherwise), so the zero plan stays
+// bit-identical to a fault-free build. Each consumer gets its own salted
+// fork: per-component schedules then do not depend on how the events of
+// other components interleave.
+func wireFaults(plan fault.Plan, ctl *hybrid.Controller, policy hybrid.Policy) *fault.Injector {
+	if !plan.Enabled() {
+		return nil
+	}
+	inj := fault.NewInjector(plan)
+	for i, ch := range ctl.Channels() {
+		ch.SetFaultInjector(inj.Fork(uint64(i + 1)))
+	}
+	ctl.SetFaultInjector(inj.Fork(0x100))
+	if fp, ok := policy.(interface{ SetFaultInjector(*fault.Injector) }); ok {
+		fp.SetFaultInjector(inj.Fork(0x200))
+	}
+	return inj
 }
 
 // buildCores materialises the per-program cores: one address space per

@@ -423,7 +423,7 @@ func TestFastForwardNeedsQuiescedMachine(t *testing.T) {
 		paces[i] = 1
 	}
 	base := runtime.NumGoroutine()
-	sys.Ctl.Submit(0, 0, false, nil)
+	sys.Ctl.Submit(0, 0, false, nil, 0)
 	if sys.Ctl.Quiesced() {
 		t.Fatal("controller quiesced with an access submitted and no event run")
 	}

@@ -142,31 +142,6 @@ func (s *Sampler) Names() []string {
 	return out
 }
 
-// Reset rewinds the sampler for a fresh run: the epoch ring is emptied
-// (backing array kept), counter baselines rewound to zero, the epoch and
-// drop counters cleared, and the schema un-frozen so Start can schedule
-// ticks on a (possibly reset) calendar again. Probe registrations are
-// kept — the probes must still point at live components, which is the
-// caller's contract. Samplers handed out through Result.Telemetry must
-// NOT be reset: the caller owns those records.
-func (s *Sampler) Reset() {
-	if s == nil {
-		return
-	}
-	for i := range s.probes {
-		s.probes[i].prev = 0
-	}
-	for i := range s.ring {
-		s.ring[i] = Record{}
-	}
-	s.ring = s.ring[:0]
-	s.head, s.count = 0, 0
-	s.epoch, s.lastCycle = 0, 0
-	s.Dropped = 0
-	s.started = false
-	s.sched = nil
-}
-
 // Start schedules the epoch ticks on the event calendar. The tick callback
 // only reads probes and re-arms itself, so simulated behaviour is
 // unaffected; once the run's stop condition is reached, pending ticks are

@@ -32,7 +32,6 @@ var mapRangeAllowed = map[string]struct {
 	loops int
 	why   string
 }{
-	"csv.go Bars series":                                            {1, "takes the largest value, which no order changes"},
 	"exp_multi.go sortedKeys m":                                     {1, "collects the keys, then sorts them"},
 	"sweep.go PlanSweep pc.perExp":                                  {1, "copies each count into another map"},
 	"sweep.go PlanSweep pc.cells":                                   {1, "collects the cells, then sorts them by cost and unique key"},
