@@ -29,15 +29,12 @@ func runProFessVariant(b *testing.B, mod func(*core.ProFessConfig)) (float64, fl
 	if err != nil {
 		b.Fatal(err)
 	}
-	wr, err := RunWorkloadWithPolicy("w09", policy, SchemeProFess, cfg, ablationCache)
+	wr, err := RunWorkloadWithPolicy("w09", policy, SchemeProFess, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return wr.MaxSlowdown, wr.WeightedSpeedup, wr.Result.SwapFraction
 }
-
-// ablationCache shares stand-alone baselines across the ablation benches.
-var ablationCache = NewBaselineCache()
 
 // BenchmarkAblation_FullProFess is the reference point for the ablations.
 func BenchmarkAblation_FullProFess(b *testing.B) {

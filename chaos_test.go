@@ -405,6 +405,57 @@ func TestExecuteExhaustsAttempts(t *testing.T) {
 	}
 }
 
+// TestExecutePanickingCellFails checks that a cell whose simulation
+// panics fails like any other: the run cache recovers the panic into the
+// attempt's error and evicts the entry, so the next attempt simulates
+// again instead of reading back an empty result. A cell that panics on
+// every attempt exhausts them; one that panics once completes on its
+// retry with a real result.
+func TestExecutePanickingCellFails(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	withDiskCache(t)
+	withAttempts(t, 3, time.Millisecond)
+
+	plan, err := PlanSweep(sweepTestExperiments(sweepTestOpts(), nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doomed, flaky := plan.Cells[0].Key, plan.Cells[1].Key
+	var mu sync.Mutex
+	calls := map[string]int{}
+	simCellHook = func(key string) error {
+		mu.Lock()
+		calls[key]++
+		n := calls[key]
+		mu.Unlock()
+		if key == doomed || (key == flaky && n == 1) {
+			panic("injected cell panic")
+		}
+		return nil
+	}
+	defer func() { simCellHook = nil }()
+
+	rep, err := plan.ExecuteOpts(context.Background(), ExecOptions{Parallelism: 2})
+	if err == nil || !strings.Contains(err.Error(), "panicked") || !strings.Contains(err.Error(), "injected cell panic") {
+		t.Fatalf("a cell that always panics must fail the sweep with its panic, got %v", err)
+	}
+	if rep.Failed != 1 || rep.Done != rep.Cells-1 || rep.Retries != 3 {
+		t.Errorf("report %+v, want 1 failed, %d done and 3 retries", rep, rep.Cells-1)
+	}
+	mu.Lock()
+	if calls[doomed] != 3 || calls[flaky] != 2 {
+		t.Errorf("doomed cell simulated %d times (want 3), flaky cell %d (want 2)", calls[doomed], calls[flaky])
+	}
+	mu.Unlock()
+	c := plan.Cells[1]
+	res, err := runSimCtx(context.Background(), c.Cfg, c.Specs, c.Scheme)
+	if err != nil || res == nil || len(res.PerCore) != len(c.Specs) {
+		t.Fatalf("retried cell's result %v, %v: want the real result", res, err)
+	}
+}
+
 // TestExecuteResumeRetriesExhaustedCell checks that attempts are counted
 // per call: a cell that ran out of attempts in one call is retried by
 // the next, which returns its error, rather than skipped on the strength

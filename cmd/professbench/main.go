@@ -38,14 +38,14 @@ import (
 	"profess"
 )
 
-// experiment binds an id to its driver. plannable marks drivers that
-// funnel every simulation through the run cache and can therefore be
-// enumerated by a planning dry run; the rest simulate at render time.
+// experiment binds an id to its driver. An experiment that prints
+// another's report (fig6 prints fig5's run) names it in sameAs, so "all"
+// runs and prints each driver once.
 type experiment struct {
-	id        string
-	about     string
-	plannable bool
-	run       func(opts profess.ExpOptions) (fmt.Stringer, error)
+	id     string
+	about  string
+	sameAs string
+	run    func(opts profess.ExpOptions) (fmt.Stringer, error)
 }
 
 // experiments binds the id table.
@@ -57,7 +57,7 @@ func experiments() []experiment {
 		return profess.RunMultiProgram([]profess.Scheme{profess.SchemePoM, profess.SchemeMDM, profess.SchemeProFess}, opts)
 	}
 	return []experiment{
-		{"fig2", "slowdowns under PoM for w09, w16, w19", true, func(opts profess.ExpOptions) (fmt.Stringer, error) {
+		{"fig2", "slowdowns under PoM for w09, w16, w19", "", func(opts profess.ExpOptions) (fmt.Stringer, error) {
 			if len(opts.Workloads) == 0 {
 				opts.Workloads = []string{"w09", "w16", "w19"}
 			}
@@ -67,31 +67,31 @@ func experiments() []experiment {
 			}
 			return stringer(rep.SlowdownDetailString(opts.Workloads)), nil
 		}},
-		{"table4", "RSM sampling accuracy (bwaves, milc, omnetpp)", false, func(opts profess.ExpOptions) (fmt.Stringer, error) {
+		{"table4", "RSM sampling accuracy (bwaves, milc, omnetpp)", "", func(opts profess.ExpOptions) (fmt.Stringer, error) {
 			return profess.RunSamplingAccuracy(opts)
 		}},
-		{"fig5", "single-program MDM vs PoM IPC (also fig6/fig7 data)", true, singleBoth},
-		{"fig6", "single-program M1-served fraction (same run as fig5)", true, singleBoth},
-		{"fig7", "single-program STC hit rates (same run as fig5)", true, singleBoth},
-		{"fig8", "MDM sensitivity to STC size (also fig9 data)", true, func(opts profess.ExpOptions) (fmt.Stringer, error) {
+		{"fig5", "single-program MDM vs PoM IPC (also fig6/fig7 data)", "", singleBoth},
+		{"fig6", "single-program M1-served fraction (same run as fig5)", "fig5", singleBoth},
+		{"fig7", "single-program STC hit rates (same run as fig5)", "fig5", singleBoth},
+		{"fig8", "MDM sensitivity to STC size (also fig9 data)", "", func(opts profess.ExpOptions) (fmt.Stringer, error) {
 			return profess.RunSTCSensitivity(opts)
 		}},
-		{"fig9", "STC hit rates vs STC size (same run as fig8)", true, func(opts profess.ExpOptions) (fmt.Stringer, error) {
+		{"fig9", "STC hit rates vs STC size (same run as fig8)", "fig8", func(opts profess.ExpOptions) (fmt.Stringer, error) {
 			return profess.RunSTCSensitivity(opts)
 		}},
-		{"sens-twr", "MDM vs PoM under t_WR_M2 x0.5 / x1 / x2", true, func(opts profess.ExpOptions) (fmt.Stringer, error) {
+		{"sens-twr", "MDM vs PoM under t_WR_M2 x0.5 / x1 / x2", "", func(opts profess.ExpOptions) (fmt.Stringer, error) {
 			return profess.RunTWRSensitivity(opts)
 		}},
-		{"sens-ratio", "MDM vs PoM at M1:M2 = 1:4 / 1:8 / 1:16", true, func(opts profess.ExpOptions) (fmt.Stringer, error) {
+		{"sens-ratio", "MDM vs PoM at M1:M2 = 1:4 / 1:8 / 1:16", "", func(opts profess.ExpOptions) (fmt.Stringer, error) {
 			return profess.RunRatioSensitivity(opts)
 		}},
-		{"fig10", "multi-program MDM & ProFess vs PoM (figs 10-15 data)", true, multiAll},
-		{"fig11", "see fig10", true, multiAll},
-		{"fig12", "see fig10", true, multiAll},
-		{"fig13", "see fig10", true, multiAll},
-		{"fig14", "see fig10", true, multiAll},
-		{"fig15", "see fig10", true, multiAll},
-		{"fig16", "per-program slowdowns for w09, w16, w19 under all schemes", true, func(opts profess.ExpOptions) (fmt.Stringer, error) {
+		{"fig10", "multi-program MDM & ProFess vs PoM (figs 10-15 data)", "", multiAll},
+		{"fig11", "see fig10", "fig10", multiAll},
+		{"fig12", "see fig10", "fig10", multiAll},
+		{"fig13", "see fig10", "fig10", multiAll},
+		{"fig14", "see fig10", "fig10", multiAll},
+		{"fig15", "see fig10", "fig10", multiAll},
+		{"fig16", "per-program slowdowns for w09, w16, w19 under all schemes", "", func(opts profess.ExpOptions) (fmt.Stringer, error) {
 			if len(opts.Workloads) == 0 {
 				opts.Workloads = []string{"w09", "w16", "w19"}
 			}
@@ -101,13 +101,13 @@ func experiments() []experiment {
 			}
 			return stringer(rep.SlowdownDetailString(opts.Workloads)), nil
 		}},
-		{"mempod", "MemPod AMMAT vs PoM (§2.5 observation)", true, func(opts profess.ExpOptions) (fmt.Stringer, error) {
+		{"mempod", "MemPod AMMAT vs PoM (§2.5 observation)", "", func(opts profess.ExpOptions) (fmt.Stringer, error) {
 			if len(opts.Workloads) == 0 {
 				opts.Workloads = []string{"w02", "w09", "w12", "w19"}
 			}
 			return profess.RunMemPodComparison(opts)
 		}},
-		{"algos", "all Table 2 algorithms compared on selected workloads", true, func(opts profess.ExpOptions) (fmt.Stringer, error) {
+		{"algos", "all Table 2 algorithms compared on selected workloads", "", func(opts profess.ExpOptions) (fmt.Stringer, error) {
 			if len(opts.Workloads) == 0 {
 				opts.Workloads = []string{"w09", "w12", "w19"}
 			}
@@ -115,23 +115,22 @@ func experiments() []experiment {
 				[]profess.Scheme{profess.SchemePoM, profess.SchemeCAMEO, profess.SchemeSILCFM,
 					profess.SchemeMemPod, profess.SchemeMDM, profess.SchemeProFess}, opts)
 		}},
-		{"faults", "robustness: slowdown/energy vs injected fault rate (PoM, MDM, ProFess)", true, func(opts profess.ExpOptions) (fmt.Stringer, error) {
+		{"faults", "robustness: slowdown/energy vs injected fault rate (PoM, MDM, ProFess)", "", func(opts profess.ExpOptions) (fmt.Stringer, error) {
 			if len(opts.Workloads) == 0 {
 				opts.Workloads = []string{"w09", "w12", "w19"}
 			}
 			return profess.RunFaultSweep(nil, nil, opts)
 		}},
-		{"xval", "analytic fast tier vs cycle model: IPC/M1/lifetime cross-validation", true, func(opts profess.ExpOptions) (fmt.Stringer, error) {
+		{"xval", "analytic fast tier vs cycle model: IPC/M1/lifetime cross-validation", "", func(opts profess.ExpOptions) (fmt.Stringer, error) {
 			return profess.RunCrossValidation(profess.Schemes(), opts)
 		}},
 		// scale16 times real runs (and re-verifies worker-count determinism), so
-		// it must not be served from the cache: unplannable by design.
-		{"scale16", "worker-count scaling curve of the clustered runner on the 16-program fleet (timing-honest; sweeps 1,2,4,8 workers)", false, func(opts profess.ExpOptions) (fmt.Stringer, error) {
+		// it bypasses the cache and reports itself unplannable.
+		{"scale16", "worker-count scaling curve of the clustered runner on the 16-program fleet (timing-honest; sweeps 1,2,4,8 workers)", "", func(opts profess.ExpOptions) (fmt.Stringer, error) {
 			return profess.RunScale16(profess.SchemeProFess, nil, opts)
 		}},
-		// sample times real runs too (full vs sampled, both uncached):
-		// unplannable by design.
-		{"sample", "sampled tier vs full fidelity: per-workload IPC error and speedup (timing-honest; fraction 0.05)", false, func(opts profess.ExpOptions) (fmt.Stringer, error) {
+		// sample times real runs too (full vs sampled, both uncached).
+		{"sample", "sampled tier vs full fidelity: per-workload IPC error and speedup (timing-honest; fraction 0.05)", "", func(opts profess.ExpOptions) (fmt.Stringer, error) {
 			return profess.RunSampleValidation(0.05, 0, []profess.Scheme{profess.SchemeProFess}, opts)
 		}},
 	}
@@ -255,20 +254,14 @@ func main() {
 	}
 	runAll := want["all"]
 
-	// Select the experiments to run, deduplicating ones that share a
-	// driver run (fig5/6/7 and fig10..15 print from the same report) when
-	// running "all".
+	// Select the experiments to run. "all" skips the ones that print
+	// another's report (fig6/7, fig9, fig11..15), so each driver runs and
+	// prints once; an explicit list prints exactly what it names.
 	var selected []experiment
-	ranAbout := map[string]bool{}
 	for _, e := range exps {
-		if !(runAll || want[e.id]) {
-			continue
+		if (runAll && e.sameAs == "") || want[e.id] {
+			selected = append(selected, e)
 		}
-		if runAll && ranAbout[e.about] {
-			continue
-		}
-		ranAbout[e.about] = true
-		selected = append(selected, e)
 	}
 
 	var lines []benchLine
@@ -281,9 +274,6 @@ func main() {
 	if profess.RunCaching() {
 		for _, e := range selected {
 			run := e.run
-			if !e.plannable {
-				continue // listed via ErrNotPlannable anyway; skip the noise
-			}
 			planned = append(planned, profess.PlannedExperiment{
 				Name: e.id,
 				Run: func() error {

@@ -278,7 +278,6 @@ func runScale16Preset(schemes []profess.Scheme, cfg profess.Config, jsonOut bool
 }
 
 func runWorkload(name string, schemes []profess.Scheme, cfg profess.Config, baselines, jsonOut bool, telePath string) {
-	cache := profess.NewBaselineCache()
 	if !jsonOut {
 		fmt.Printf("workload %s (%d instructions per program, scale %.4f)\n\n", name, cfg.Instructions, cfg.Scale)
 	}
@@ -304,7 +303,7 @@ func runWorkload(name string, schemes []profess.Scheme, cfg profess.Config, base
 			printResilience(string(s), res)
 			continue
 		}
-		wr, err := profess.RunWorkloadContext(runCtx, name, s, cfg, cache)
+		wr, err := profess.RunWorkloadContext(runCtx, name, s, cfg)
 		if err != nil {
 			fatal(err)
 		}

@@ -18,11 +18,10 @@ func main() {
 	cfg := profess.MultiCoreConfig(profess.PaperScale)
 	cfg.Instructions = 1_000_000 // demo-sized; raise for fidelity
 
-	cache := profess.NewBaselineCache()
 	fmt.Println("workload w09 (mcf - soplex - lbm - GemsFDTD), quad-core system")
 	fmt.Println()
 	for _, scheme := range []profess.Scheme{profess.SchemePoM, profess.SchemeMDM, profess.SchemeProFess} {
-		wr, err := profess.RunWorkload("w09", scheme, cfg, cache)
+		wr, err := profess.RunWorkload("w09", scheme, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -56,31 +56,6 @@ func TestRunSinglePrograms(t *testing.T) {
 	}
 }
 
-func TestRunSingleProgramsSeeds(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy")
-	}
-	opts := tinyExp()
-	opts.Programs = []string{"soplex"}
-	opts.Seeds = 3
-	rep, err := RunSinglePrograms([]Scheme{SchemeMDM}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rep.Rows[0]
-	if r.IPC <= 0 {
-		t.Fatalf("mean IPC %v", r.IPC)
-	}
-	// Different seeds should produce *some* variation, and the spread
-	// should be small relative to the mean (the generators are stable).
-	if r.IPCStdDev <= 0 {
-		t.Error("expected non-zero spread across seeds")
-	}
-	if r.IPCStdDev > r.IPC/2 {
-		t.Errorf("spread %v implausibly large vs mean %v", r.IPCStdDev, r.IPC)
-	}
-}
-
 func TestRunSTCSensitivity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -303,9 +278,6 @@ func TestExpOptionsDefaults(t *testing.T) {
 	if len(o.workloads()) != 19 {
 		t.Errorf("default workloads = %d", len(o.workloads()))
 	}
-	if o.seeds() != 1 {
-		t.Error("default seeds")
-	}
 	if o.singleConfig().Cores != 1 || o.multiConfig().Cores != 4 {
 		t.Error("config shapes")
 	}
@@ -417,21 +389,36 @@ func TestRunMultiProgramSurvivesWorkerPanic(t *testing.T) {
 	}
 	opts := tinyExp()
 	opts.Parallelism = 2
+	cfg := opts.multiConfig()
+	specs, err := workloadSpecs("w02", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := map[string]Scheme{}
+	for _, s := range []Scheme{SchemePoM, SchemeProFess} {
+		keys[runKey(cfg, specs, s)] = s
+	}
 
-	// One cell's worker panics on every attempt: the sweep must surface
-	// the recovered panic as an error, keep the sibling cell's result, and
-	// have retried the wedged cell exactly once.
+	// The PoM mix cell panics whenever it simulates: the sweep must
+	// surface the recovered panic as an error and keep the sibling cell's
+	// result. A cell is a pure function of its key, so it is not retried.
+	ResetRunCache()
 	attempts := map[Scheme]int{}
 	var mu sync.Mutex
-	multiCellHook = func(wl string, s Scheme) {
+	simCellHook = func(key string) error {
+		s, ok := keys[key]
+		if !ok {
+			return nil
+		}
 		mu.Lock()
 		attempts[s]++
 		mu.Unlock()
 		if s == SchemePoM {
 			panic("injected cell failure")
 		}
+		return nil
 	}
-	defer func() { multiCellHook = nil }()
+	defer func() { simCellHook = nil }()
 
 	rep, err := RunMultiProgram([]Scheme{SchemePoM, SchemeProFess}, opts)
 	if err == nil {
@@ -451,40 +438,7 @@ func TestRunMultiProgramSurvivesWorkerPanic(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if attempts[SchemePoM] != 2 {
-		t.Errorf("wedged cell attempted %d times, want 2 (original + one retry)", attempts[SchemePoM])
-	}
-	if attempts[SchemeProFess] != 1 {
-		t.Errorf("healthy cell attempted %d times, want 1", attempts[SchemeProFess])
-	}
-}
-
-func TestRunMultiProgramRetriesTransientFailure(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy")
-	}
-	opts := tinyExp()
-	opts.Parallelism = 2
-
-	// A cell that panics only on its first attempt recovers on the retry:
-	// the sweep as a whole succeeds.
-	var mu sync.Mutex
-	failed := false
-	multiCellHook = func(wl string, s Scheme) {
-		mu.Lock()
-		defer mu.Unlock()
-		if s == SchemePoM && !failed {
-			failed = true
-			panic("transient failure")
-		}
-	}
-	defer func() { multiCellHook = nil }()
-
-	rep, err := RunMultiProgram([]Scheme{SchemePoM, SchemeProFess}, opts)
-	if err != nil {
-		t.Fatalf("transient failure must be absorbed by the retry: %v", err)
-	}
-	if _, ok := rep.Cell("w02", SchemePoM); !ok {
-		t.Error("retried cell missing from the report")
+	if attempts[SchemePoM] != 1 || attempts[SchemeProFess] != 1 {
+		t.Errorf("mix cells simulated %v times, want each once", attempts)
 	}
 }

@@ -38,48 +38,49 @@ type MultiProgramReport struct {
 }
 
 // RunMultiProgram runs every workload of the options under every given
-// scheme, with shared stand-alone baselines.
+// scheme. Each distinct (program, scheme) stand-alone baseline runs once,
+// before the mixes, and every cell reads its slowdowns from that table.
+// A failed cell leaves the others standing: the report holds every
+// completed cell alongside the joined error.
 func RunMultiProgram(schemes []Scheme, opts ExpOptions) (*MultiProgramReport, error) {
 	cfg := opts.multiConfig()
 	wls := opts.workloads()
-	cache := NewBaselineCache()
 
-	// With the run cache off, warm the baseline cache first (one run per
-	// distinct program and scheme) so the workload jobs don't duplicate
-	// alone-runs racing the same key. With it on, the prepass is
-	// redundant: runSim's singleflight already collapses concurrent
-	// identical baseline runs to one simulation, and the sweep planner's
-	// dry run enumerates the baselines through the workload jobs
-	// themselves.
-	if !RunCaching() {
-		type baseJob struct {
-			prog   string
-			scheme Scheme
-		}
-		seen := map[baseJob]bool{}
-		var baseJobs []baseJob
-		for _, wn := range wls {
-			w, err := workloadByName(wn)
-			if err != nil {
-				return nil, err
-			}
-			for _, p := range w.Programs {
-				for _, s := range schemes {
-					j := baseJob{p, s}
-					if !seen[j] {
-						seen[j] = true
-						baseJobs = append(baseJobs, j)
-					}
-				}
-			}
-		}
-		err := par.For(opts.ctx(), len(baseJobs), opts.Parallelism, func(i int) error {
-			_, err := cache.AloneIPCContext(opts.ctx(), baseJobs[i].prog, baseJobs[i].scheme, cfg)
-			return err
-		})
+	type baseJob struct {
+		prog   string
+		scheme Scheme
+	}
+	seen := map[baseJob]bool{}
+	var baseJobs []baseJob
+	for _, wn := range wls {
+		w, err := workloadByName(wn)
 		if err != nil {
 			return nil, err
 		}
+		for _, p := range w.Programs {
+			for _, s := range schemes {
+				j := baseJob{p, s}
+				if !seen[j] {
+					seen[j] = true
+					baseJobs = append(baseJobs, j)
+				}
+			}
+		}
+	}
+	ipcs := make([]float64, len(baseJobs))
+	err := par.For(opts.ctx(), len(baseJobs), opts.Parallelism, func(i int) (err error) {
+		ipcs[i], err = aloneIPC(opts.ctx(), baseJobs[i].prog, baseJobs[i].scheme, cfg)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	alone := map[Scheme]map[string]float64{}
+	for i, j := range baseJobs {
+		if alone[j.scheme] == nil {
+			alone[j.scheme] = map[string]float64{}
+		}
+		alone[j.scheme][j.prog] = ipcs[i]
 	}
 
 	type job struct {
@@ -93,70 +94,39 @@ func RunMultiProgram(schemes []Scheme, opts ExpOptions) (*MultiProgramReport, er
 		}
 	}
 	cells := make([]MultiProgramCell, len(jobs))
-	var mu sync.Mutex
-	runCells := func() error {
-		return par.For(opts.ctx(), len(jobs), opts.Parallelism, func(i int) error {
-			mu.Lock()
-			done := cells[i].Workload != ""
-			mu.Unlock()
-			if done {
-				return nil // succeeded on a previous attempt
-			}
-			if multiCellHook != nil {
-				multiCellHook(jobs[i].wl, jobs[i].scheme)
-			}
-			wr, err := RunWorkloadContext(opts.ctx(), jobs[i].wl, jobs[i].scheme, cfg, cache)
-			if err != nil {
-				return fmt.Errorf("%s/%s: %w", jobs[i].wl, jobs[i].scheme, err)
-			}
-			var lat, n float64
-			var programs []string
-			for _, c := range wr.Result.PerCore {
-				lat += float64(c.AvgReadLat * float64(c.Served))
-				n += float64(c.Served)
-				programs = append(programs, c.Program)
-			}
-			if n > 0 {
-				lat /= n
-			}
-			mu.Lock()
-			cells[i] = MultiProgramCell{
-				Workload:        jobs[i].wl,
-				Scheme:          jobs[i].scheme,
-				WeightedSpeedup: wr.WeightedSpeedup,
-				MaxSlowdown:     wr.MaxSlowdown,
-				EnergyEff:       wr.Result.EnergyEff,
-				SwapFraction:    wr.Result.SwapFraction,
-				AvgReadLat:      lat,
-				LifetimeSeconds: wr.Result.NVM.LifetimeSeconds,
-				Slowdowns:       wr.Slowdowns,
-				Programs:        programs,
-				Resilience:      wr.Result.Resilience,
-			}
-			mu.Unlock()
-			return nil
-		})
-	}
-	err := runCells()
-	if err != nil && opts.ctx().Err() == nil {
-		// Failed cells (including recovered worker panics) get one retry;
-		// completed cells are skipped, so a transient failure costs one
-		// re-run rather than the whole sweep.
-		err = runCells()
-	}
-	rep := &MultiProgramReport{Schemes: schemes, Cells: cells}
-	if err != nil {
-		// Return the surviving cells alongside the error: a long sweep
-		// with one wedged cell still yields the rest of the matrix.
-		return rep, err
-	}
-	return rep, nil
+	err = par.For(opts.ctx(), len(jobs), opts.Parallelism, func(i int) error {
+		res, err := RunMixContext(opts.ctx(), jobs[i].wl, jobs[i].scheme, cfg)
+		if err != nil {
+			return fmt.Errorf("%s/%s: %w", jobs[i].wl, jobs[i].scheme, err)
+		}
+		wr := newWorkloadResult(jobs[i].wl, jobs[i].scheme, res, alone[jobs[i].scheme])
+		var lat, n float64
+		var programs []string
+		for _, c := range res.PerCore {
+			lat += float64(c.AvgReadLat * float64(c.Served))
+			n += float64(c.Served)
+			programs = append(programs, c.Program)
+		}
+		if n > 0 {
+			lat /= n
+		}
+		cells[i] = MultiProgramCell{
+			Workload:        jobs[i].wl,
+			Scheme:          jobs[i].scheme,
+			WeightedSpeedup: wr.WeightedSpeedup,
+			MaxSlowdown:     wr.MaxSlowdown,
+			EnergyEff:       res.EnergyEff,
+			SwapFraction:    res.SwapFraction,
+			AvgReadLat:      lat,
+			LifetimeSeconds: res.NVM.LifetimeSeconds,
+			Slowdowns:       wr.Slowdowns,
+			Programs:        programs,
+			Resilience:      res.Resilience,
+		}
+		return nil
+	})
+	return &MultiProgramReport{Schemes: schemes, Cells: cells}, err
 }
-
-// multiCellHook, when non-nil, runs at the start of every workload-cell
-// job of RunMultiProgram. It exists for tests, which use it to inject
-// failures (including panics) into the worker pool.
-var multiCellHook func(wl string, scheme Scheme)
 
 // workloadByName resolves through the public Workloads view.
 func workloadByName(name string) (Workload, error) {

@@ -7,9 +7,7 @@ import (
 	"time"
 
 	"profess/internal/par"
-	"profess/internal/sim"
 	"profess/internal/stats"
-	"profess/internal/workload"
 )
 
 // Validation of the sampled-simulation tier (interval sampling with
@@ -62,9 +60,10 @@ type SampleValReport struct {
 // schemes twice — full fidelity and sampled at the given fraction and
 // detailed-window length (0 = the config default) — and reports per-cell
 // IPC error and wall-clock speedup. Runs bypass the run
-// cache (both tiers simulate honestly, or the timings would be fiction);
-// within one cell the full and sampled runs execute sequentially on the
-// same worker so they contend identically.
+// cache (both tiers simulate honestly, or the timings would be fiction),
+// so a sweep plan lists the experiment as unplannable; within one cell
+// the full and sampled runs execute sequentially on the same worker so
+// they contend identically.
 func RunSampleValidation(fraction float64, window int64, schemes []Scheme, opts ExpOptions) (*SampleValReport, error) {
 	if !(fraction > 0 && fraction < 1) {
 		return nil, fmt.Errorf("sample validation: fraction %g outside (0, 1)", fraction)
@@ -86,11 +85,7 @@ func RunSampleValidation(fraction float64, window int64, schemes []Scheme, opts 
 	}
 	rows := make([]SampleValRow, len(jobs))
 	err := par.For(opts.ctx(), len(jobs), opts.Parallelism, func(i int) error {
-		w, err := workload.WorkloadByName(jobs[i].wl)
-		if err != nil {
-			return err
-		}
-		specs, err := sim.SpecsForWorkload(w, full.Scale)
+		specs, err := workloadSpecs(jobs[i].wl, full)
 		if err != nil {
 			return err
 		}

@@ -69,7 +69,7 @@ func (r *Scale16Report) CSV() string {
 // the wall-clock scaling curve. The run cache is deliberately bypassed:
 // the points are identical cells by design, and serving point N from
 // point 1's cache entry would fake both the timing and the identity
-// check.
+// check. A sweep plan therefore lists it as unplannable.
 func RunScale16(scheme Scheme, shardCounts []int, opts ExpOptions) (*Scale16Report, error) {
 	cfg := Scale16Config(opts.scale())
 	if opts.Instructions > 0 {

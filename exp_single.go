@@ -11,13 +11,11 @@ import (
 )
 
 // SingleProgramRow is one program's outcome under one scheme in the
-// single-core system (§5.1). With ExpOptions.Seeds > 1 the values are
-// means across seeds and IPCStdDev reports the spread.
+// single-core system (§5.1).
 type SingleProgramRow struct {
 	Program    string
 	Scheme     Scheme
 	IPC        float64
-	IPCStdDev  float64
 	M1Fraction float64
 	STCHitRate float64
 	AvgReadLat float64
@@ -51,38 +49,21 @@ func RunSinglePrograms(schemes []Scheme, opts ExpOptions) (*SingleProgramReport,
 	}
 	rows := make([]SingleProgramRow, len(jobs))
 	err := par.For(opts.ctx(), len(jobs), opts.Parallelism, func(i int) error {
-		var ipcs []float64
-		row := SingleProgramRow{Program: jobs[i].prog, Scheme: jobs[i].scheme}
-		base, err := sim.SpecForProgram(jobs[i].prog, cfg.Scale)
+		res, err := RunProgramContext(opts.ctx(), jobs[i].prog, jobs[i].scheme, cfg)
 		if err != nil {
-			return err
+			return fmt.Errorf("%s/%s: %w", jobs[i].prog, jobs[i].scheme, err)
 		}
-		for s := 0; s < opts.seeds(); s++ {
-			spec := base
-			if s > 0 {
-				spec.Params.Seed = workloadSeed(jobs[i].prog, 1000+s)
-			}
-			res, err := RunSpecsContext(opts.ctx(), []ProgramSpec{spec}, jobs[i].scheme, cfg)
-			if err != nil {
-				return fmt.Errorf("%s/%s: %w", jobs[i].prog, jobs[i].scheme, err)
-			}
-			c := res.PerCore[0]
-			ipcs = append(ipcs, c.IPC)
-			row.M1Fraction += c.M1Fraction
-			row.STCHitRate += c.STCHitRate
-			row.AvgReadLat += c.AvgReadLat
-			row.Swaps += c.Swaps
-			row.LifetimeSeconds += res.NVM.LifetimeSeconds
+		c := res.PerCore[0]
+		rows[i] = SingleProgramRow{
+			Program:         jobs[i].prog,
+			Scheme:          jobs[i].scheme,
+			IPC:             c.IPC,
+			M1Fraction:      c.M1Fraction,
+			STCHitRate:      c.STCHitRate,
+			AvgReadLat:      c.AvgReadLat,
+			Swaps:           c.Swaps,
+			LifetimeSeconds: res.NVM.LifetimeSeconds,
 		}
-		n := float64(len(ipcs))
-		row.IPC = stats.Mean(ipcs)
-		row.IPCStdDev = stats.StdDev(ipcs)
-		row.M1Fraction /= n
-		row.STCHitRate /= n
-		row.AvgReadLat /= n
-		row.LifetimeSeconds /= n
-		row.Swaps = int64(float64(row.Swaps) / n)
-		rows[i] = row
 		return nil
 	})
 	if err != nil {

@@ -24,10 +24,6 @@ type ExpOptions struct {
 	Workloads []string
 	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS).
 	Parallelism int
-	// Seeds > 1 repeats each single-program measurement with that many
-	// distinct generator seeds and reports the mean (plus spread), giving
-	// the synthetic-workload results confidence beyond one draw.
-	Seeds int
 	// Context, when non-nil, cancels in-flight experiments: its deadline
 	// and cancellation propagate into every simulation's event loop.
 	Context context.Context
@@ -43,14 +39,6 @@ func (o ExpOptions) ctx() context.Context {
 		return o.Context
 	}
 	return context.Background()
-}
-
-// seeds returns the effective seed-replication count.
-func (o ExpOptions) seeds() int {
-	if o.Seeds > 1 {
-		return o.Seeds
-	}
-	return 1
 }
 
 // scale returns the effective capacity scale.

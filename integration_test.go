@@ -15,16 +15,15 @@ func TestFairnessShape(t *testing.T) {
 	}
 	cfg := MultiCoreConfig(PaperScale)
 	cfg.Instructions = 400_000
-	cache := NewBaselineCache()
 
 	wls := []string{"w09", "w19"}
 	var sdnRatios, wsRatios, swapRatios []float64
 	for _, wl := range wls {
-		pom, err := RunWorkload(wl, SchemePoM, cfg, cache)
+		pom, err := RunWorkload(wl, SchemePoM, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pf, err := RunWorkload(wl, SchemeProFess, cfg, cache)
+		pf, err := RunWorkload(wl, SchemeProFess, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,14 +59,13 @@ func TestMDMvsProFessFairness(t *testing.T) {
 	}
 	cfg := MultiCoreConfig(PaperScale)
 	cfg.Instructions = 400_000
-	cache := NewBaselineCache()
 	var ratios []float64
 	for _, wl := range []string{"w09", "w15"} {
-		mdm, err := RunWorkload(wl, SchemeMDM, cfg, cache)
+		mdm, err := RunWorkload(wl, SchemeMDM, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pf, err := RunWorkload(wl, SchemeProFess, cfg, cache)
+		pf, err := RunWorkload(wl, SchemeProFess, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -229,10 +229,7 @@ func (m Model) Estimate(cfg sim.Config, specs []sim.ProgramSpec, scheme sim.Sche
 	}
 
 	t1 := mem.DefaultM1Timing()
-	t2 := mem.DefaultM2Timing()
-	if cfg.M2TWRFactor > 0 && cfg.M2TWRFactor != 1 {
-		t2.TWR = int64(float64(t2.TWR) * cfg.M2TWRFactor)
-	}
+	t2 := cfg.M2Timing()
 	c1 := float64(cfg.M1Capacity)
 	c2 := c1 * float64(cfg.M2Slots)
 	c3 := float64(cfg.L3Capacity)
@@ -660,9 +657,7 @@ func (m Model) moduleLatency(t mem.Timing, u *unit) float64 {
 // configuration without building channels.
 func swapLatency(cfg sim.Config) float64 {
 	ch := mem.DefaultChannelConfig(1<<20, 1<<20)
-	if cfg.M2TWRFactor > 0 && cfg.M2TWRFactor != 1 {
-		ch.M2Timing.TWR = int64(float64(ch.M2Timing.TWR) * cfg.M2TWRFactor)
-	}
+	ch.M2Timing = cfg.M2Timing()
 	return float64(ch.SwapLatency())
 }
 

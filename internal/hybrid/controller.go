@@ -666,15 +666,7 @@ func (c *Controller) Submit(core int, origAddr int64, write bool, done event.Han
 // that missed plus every coalesced waiter.
 func (c *Controller) fillGroup(first *accessOp) {
 	group := first.group
-	qac := c.qacAt(group)
-	if c.inj.Fire(fault.QACCorruption) {
-		// ST metadata corrupted on the fill path: one QAC value of this
-		// entry arrives scrambled (possibly out of range — the monitoring
-		// layer's sanity checks are the defense).
-		s := c.inj.Intn(int(c.slots))
-		qac[s] = c.inj.CorruptByte(qac[s])
-	}
-	e := c.install(first.chIdx, group, qac)
+	e := c.fill(first.chIdx, group)
 	c.serve(first, e)
 	waiters := c.pendingST[group]
 	delete(c.pendingST, group)
@@ -684,9 +676,19 @@ func (c *Controller) fillGroup(first *accessOp) {
 	c.putWaiters(waiters)
 }
 
-// install caches group's ST line, with the given QAC values, in channel
-// chIdx's STC, handles the entry it displaces and returns the new entry.
-func (c *Controller) install(chIdx int, group int64, qac [MaxSlots]uint8) *STCEntry {
+// fill caches group's ST line, as read from the ST, in channel chIdx's
+// STC, handles the entry it displaces and returns the new entry. The
+// event path (fillGroup) and the fast-forward path (FunctionalAccess)
+// both fill through it, so both draw the same fill-path faults.
+func (c *Controller) fill(chIdx int, group int64) *STCEntry {
+	qac := c.qacAt(group)
+	if c.inj.Fire(fault.QACCorruption) {
+		// ST metadata corrupted on the fill path: one QAC value of this
+		// entry arrives scrambled (possibly out of range — the monitoring
+		// layer's sanity checks are the defense).
+		s := c.inj.Intn(int(c.slots))
+		qac[s] = c.inj.CorruptByte(qac[s])
+	}
 	stc := c.stcs[chIdx]
 	if ev := stc.Insert(group, qac); ev != nil {
 		c.handleEviction(chIdx, ev)
@@ -797,8 +799,8 @@ func (c *Controller) handleEviction(chIdx int, ev *STCEviction) {
 // event path charges them before it. Nothing is returned, since a
 // fast-forwarding core does not wait on memory. Fault injection for NVM
 // transients and stalls does not run here (those faults fire only inside
-// detailed windows). ST-metadata faults fire on STC evictions, but the ST
-// line fill draws none: only the event path's fillGroup does.
+// detailed windows). ST-metadata faults fire as on the event path: on the
+// ST line fill and on STC evictions.
 func (c *Controller) FunctionalAccess(core int, origAddr int64, write bool, now int64) {
 	c.ffNow = now
 	// d is filled field by field: a demand built as a literal or returned
@@ -821,7 +823,7 @@ func (c *Controller) FunctionalAccess(core int, origAddr int64, write bool, now 
 			bank, row := c.geo[d.chIdx][mem.M1].decompose(c.layout.STLineAddr(d.group))
 			fillLat = c.chans[d.chIdx].FunctionalAccess(mem.M1, bank, row, false, now)
 		}
-		e = c.install(d.chIdx, d.group, c.qacAt(d.group))
+		e = c.fill(d.chIdx, d.group)
 	}
 	k, bank, row := c.account(&d, e, now)
 	// The channel charge warms occupancy, wear and event counts; its

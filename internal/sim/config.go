@@ -5,11 +5,13 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"profess/internal/cache"
 	"profess/internal/cpu"
 	"profess/internal/energy"
 	"profess/internal/fault"
+	"profess/internal/mem"
 )
 
 // Config describes one simulated system. All capacities are bytes.
@@ -73,7 +75,9 @@ type Config struct {
 	Scale float64
 
 	// M2TWRFactor scales M2's write-recovery latency for the §5.2
-	// sensitivity study (1.0 = Table 8's t_WR_M2 = 275 ns).
+	// sensitivity study (1.0 = Table 8's t_WR_M2 = 275 ns, every
+	// constructor's value). It must be positive and finite; M2Timing
+	// applies it.
 	M2TWRFactor float64
 
 	// Faults is the fault-injection plan. The zero plan wires no injector
@@ -86,10 +90,6 @@ type Config struct {
 	// built, no events are scheduled, and the run stays bit-identical and
 	// cycle-identical to a build without the subsystem.
 	TelemetryEvery int64
-	// TelemetryCapacity bounds the in-memory epoch ring
-	// (telemetry.DefaultCapacity when 0); the oldest epochs are evicted
-	// once it fills.
-	TelemetryCapacity int
 
 	Energy energy.Model
 }
@@ -131,6 +131,7 @@ func MultiCoreConfig(scale float64) Config {
 		ModelSTTraffic: true,
 		Seed:           1,
 		Scale:          scale,
+		M2TWRFactor:    1,
 		Energy:         energy.Default(),
 	}
 }
@@ -173,6 +174,7 @@ func Scale16Config(scale float64) Config {
 		ModelSTTraffic: true,
 		Seed:           1,
 		Scale:          scale,
+		M2TWRFactor:    1,
 		Energy:         energy.Default(),
 	}
 }
@@ -228,6 +230,15 @@ func (c Config) EffectiveSampleWindow() int64 {
 	return DefaultSampleWindow
 }
 
+// M2Timing returns M2's timing with the write-recovery latency scaled by
+// M2TWRFactor: the one t_WR_M2 rule that the channels NewSystem builds and
+// the analytic tier's estimates both read.
+func (c Config) M2Timing() mem.Timing {
+	t := mem.DefaultM2Timing()
+	t.TWR = int64(float64(t.TWR) * c.M2TWRFactor)
+	return t
+}
+
 // Validate sanity-checks a configuration.
 func (c Config) Validate() error {
 	if c.Cores <= 0 {
@@ -258,8 +269,8 @@ func (c Config) Validate() error {
 	if c.TelemetryEvery < 0 {
 		return fmt.Errorf("sim: negative telemetry epoch %d", c.TelemetryEvery)
 	}
-	if c.TelemetryCapacity < 0 {
-		return fmt.Errorf("sim: negative telemetry capacity %d", c.TelemetryCapacity)
+	if !(c.M2TWRFactor > 0) || math.IsInf(c.M2TWRFactor, 0) {
+		return fmt.Errorf("sim: t_WR_M2 factor %v must be positive and finite (1 = Table 8)", c.M2TWRFactor)
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("sim: negative shard count %d", c.Shards)

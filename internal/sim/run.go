@@ -35,12 +35,7 @@ type ProgramSpec struct {
 }
 
 // threads returns the effective thread count.
-func (s ProgramSpec) threads() int {
-	if s.Threads <= 1 {
-		return 1
-	}
-	return s.Threads
-}
+func (s ProgramSpec) threads() int { return max(s.Threads, 1) }
 
 // SpecsForWorkload builds the four program specs of a Table 10 mix at the
 // given capacity scale.
@@ -232,9 +227,7 @@ func NewSystem(cfg Config, specs []ProgramSpec, policy hybrid.Policy) (*System, 
 	for i := range chans {
 		chCfg := mem.DefaultChannelConfig(m1Per+layout.STBytesPerChannel(), m1Per*int64(cfg.M2Slots))
 		chCfg.BlockBytes = layout.BlockBytes
-		if cfg.M2TWRFactor > 0 && cfg.M2TWRFactor != 1 {
-			chCfg.M2Timing.TWR = int64(float64(chCfg.M2Timing.TWR) * cfg.M2TWRFactor)
-		}
+		chCfg.M2Timing = cfg.M2Timing()
 		chans[i] = mem.NewChannel(chCfg, q)
 	}
 
@@ -375,7 +368,7 @@ func (s *System) wireTelemetry() error {
 	if s.Cfg.TelemetryEvery <= 0 {
 		return nil
 	}
-	tel, err := telemetry.New(telemetry.Config{Every: s.Cfg.TelemetryEvery, Capacity: s.Cfg.TelemetryCapacity})
+	tel, err := telemetry.New(telemetry.Config{Every: s.Cfg.TelemetryEvery})
 	if err != nil {
 		return err
 	}

@@ -247,6 +247,45 @@ func TestSampledErrorShrinksWithFraction(t *testing.T) {
 	}
 }
 
+// TestSampledQACFaultsMatchFullRun checks that fast-forward draws the ST
+// fill's QAC-corruption fault as the event path does: under a QAC fault
+// plan the sampled run's injected corruptions per ST read must be within
+// 10% of the full run's. With the draw on the event path alone, a sampled
+// run injected about half as many (1.09 against 2.04 per ST read).
+func TestSampledQACFaultsMatchFullRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	specs, err := SpecsForWorkload(mustWorkload(t, "w09"), PaperScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := fault.ParsePlan("qac=1,seed=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := MultiCoreConfig(PaperScale)
+	cfg.Instructions = 600_000
+	cfg.Faults = plan
+	perRead := func(fraction float64) float64 {
+		c := cfg
+		c.SampleFraction = fraction
+		res, err := Run(c, specs, SchemeProFess)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.STReads == 0 {
+			t.Fatalf("fraction %g: no ST reads", fraction)
+		}
+		return float64(res.Resilience.InjectedQACCorruptions) / float64(res.STReads)
+	}
+	full, sampled := perRead(0), perRead(0.05)
+	t.Logf("injected QAC corruptions per ST read: full %.3f, sampled %.3f", full, sampled)
+	if math.Abs(sampled-full) > 0.1*full {
+		t.Errorf("sampled run injects %.3f QAC corruptions per ST read, full run %.3f: want within 10%%", sampled, full)
+	}
+}
+
 // TestSamplingValidation pins the rejection of unsupported combinations.
 func TestSamplingValidation(t *testing.T) {
 	bad := func(mutate func(*Config)) error {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -24,6 +25,10 @@ func TestConfigValidation(t *testing.T) {
 		{"65 L3 ways", func(c *Config) { c.L3Ways = 65 }, "L3Ways"},
 		{"zero STC ways", func(c *Config) { c.STCWays = 0 }, "STCWays"},
 		{"17 STC ways", func(c *Config) { c.STCWays = 17 }, "STCWays"},
+		{"zero t_WR factor", func(c *Config) { c.M2TWRFactor = 0 }, "t_WR_M2 factor"},
+		{"negative t_WR factor", func(c *Config) { c.M2TWRFactor = -1 }, "t_WR_M2 factor"},
+		{"NaN t_WR factor", func(c *Config) { c.M2TWRFactor = math.NaN() }, "t_WR_M2 factor"},
+		{"infinite t_WR factor", func(c *Config) { c.M2TWRFactor = math.Inf(1) }, "t_WR_M2 factor"},
 	} {
 		bad := good
 		c.mutate(&bad)

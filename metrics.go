@@ -2,8 +2,6 @@ package profess
 
 import (
 	"context"
-	"fmt"
-	"sync"
 
 	"profess/internal/sim"
 	"profess/internal/workload"
@@ -57,62 +55,6 @@ func WorkBeforeWearOut(lifetimeSeconds, ipc float64) float64 {
 	return lifetimeSeconds * ipc
 }
 
-// BaselineCache memoises uncontended (stand-alone) IPCs per program for a
-// given system configuration, since every slowdown computation reuses
-// them. It is safe for concurrent use.
-type BaselineCache struct {
-	mu    sync.Mutex
-	cache map[string]float64
-}
-
-// NewBaselineCache returns an empty cache.
-func NewBaselineCache() *BaselineCache {
-	return &BaselineCache{cache: make(map[string]float64)}
-}
-
-// key folds the configuration parameters that affect stand-alone IPC.
-// Fault plans are deliberately absent: AloneIPC strips them, so every
-// entry is a fault-free measurement and faulty/clean configurations share
-// (rather than collide on) the same clean baseline.
-func (b *BaselineCache) key(program string, cfg Config) string {
-	return fmt.Sprintf("%s|%d|%d|%d|%d|%d|%d|%d|%v|%v",
-		program, cfg.Cores, cfg.Channels, cfg.M1Capacity, cfg.M2Slots,
-		cfg.L3Capacity, cfg.STCEntries, cfg.Instructions, cfg.M2TWRFactor, cfg.Scale)
-}
-
-// AloneIPC returns the program's uncontended IPC in the given system,
-// running it (under ProFess-free, plain-PoM-free conditions: the scheme
-// only matters under contention, but the paper measures IPC_SP under the
-// same management as the workload run, so the scheme is a parameter).
-// The stand-alone run is always fault-free: eq. 1's reference point is
-// the healthy machine, so injected faults show up as extra slowdown
-// rather than silently rescaling both sides of the ratio.
-func (b *BaselineCache) AloneIPC(program string, scheme Scheme, cfg Config) (float64, error) {
-	return b.AloneIPCContext(context.Background(), program, scheme, cfg)
-}
-
-// AloneIPCContext is AloneIPC honouring the context.
-func (b *BaselineCache) AloneIPCContext(ctx context.Context, program string, scheme Scheme, cfg Config) (float64, error) {
-	cfg.Faults = FaultPlan{}
-	k := string(scheme) + "|" + b.key(program, cfg)
-	b.mu.Lock()
-	if v, ok := b.cache[k]; ok {
-		b.mu.Unlock()
-		return v, nil
-	}
-	b.mu.Unlock()
-
-	res, err := RunProgramContext(ctx, program, scheme, cfg)
-	if err != nil {
-		return 0, err
-	}
-	ipc := res.PerCore[0].FirstIPC
-	b.mu.Lock()
-	b.cache[k] = ipc
-	b.mu.Unlock()
-	return ipc, nil
-}
-
 // WorkloadResult couples a multiprogram Result with its fairness metrics.
 type WorkloadResult struct {
 	Workload string
@@ -126,56 +68,32 @@ type WorkloadResult struct {
 }
 
 // RunWorkload runs a Table 10 workload under the given scheme and derives
-// slowdowns, weighted speedup and unfairness from stand-alone baselines
-// (computed through the cache; pass nil for a throwaway cache).
-func RunWorkload(name string, scheme Scheme, cfg Config, cache *BaselineCache) (*WorkloadResult, error) {
-	return RunWorkloadContext(context.Background(), name, scheme, cfg, cache)
+// slowdowns, weighted speedup and unfairness from stand-alone baselines.
+// Every run, baselines included, goes through the run cache, so repeated
+// calls simulate each distinct run once.
+func RunWorkload(name string, scheme Scheme, cfg Config) (*WorkloadResult, error) {
+	return RunWorkloadContext(context.Background(), name, scheme, cfg)
 }
 
 // RunWorkloadContext is RunWorkload honouring the context: cancellation
 // interrupts both the mix run and the stand-alone baselines mid-flight.
-func RunWorkloadContext(ctx context.Context, name string, scheme Scheme, cfg Config, cache *BaselineCache) (*WorkloadResult, error) {
-	if cache == nil {
-		cache = NewBaselineCache()
-	}
-	w, err := workload.WorkloadByName(name)
+func RunWorkloadContext(ctx context.Context, name string, scheme Scheme, cfg Config) (*WorkloadResult, error) {
+	res, err := RunMixContext(ctx, name, scheme, cfg)
 	if err != nil {
 		return nil, err
 	}
-	specs, err := sim.SpecsForWorkload(w, cfg.Scale)
+	alone, err := aloneIPCs(ctx, res, scheme, cfg)
 	if err != nil {
 		return nil, err
 	}
-	res, err := runSimCtx(ctx, cfg, specs, scheme)
-	if err != nil {
-		return nil, err
-	}
-	wr := &WorkloadResult{Workload: name, Scheme: scheme, Result: res}
-	for i, spec := range specs {
-		alone, err := cache.AloneIPCContext(ctx, spec.Name, scheme, cfg)
-		if err != nil {
-			return nil, err
-		}
-		wr.AloneIPC = append(wr.AloneIPC, alone)
-		wr.Slowdowns = append(wr.Slowdowns, Slowdown(alone, res.PerCore[i].FirstIPC))
-	}
-	wr.WeightedSpeedup = WeightedSpeedup(wr.Slowdowns)
-	wr.MaxSlowdown = Unfairness(wr.Slowdowns)
-	return wr, nil
+	return newWorkloadResult(name, scheme, res, alone), nil
 }
 
 // RunWorkloadWithPolicy is RunWorkload for a custom (e.g. ablated) policy:
 // the mix runs under the given policy while the stand-alone baselines use
 // baselineScheme. Used by the ablation benchmarks.
-func RunWorkloadWithPolicy(name string, policy Policy, baselineScheme Scheme, cfg Config, cache *BaselineCache) (*WorkloadResult, error) {
-	if cache == nil {
-		cache = NewBaselineCache()
-	}
-	w, err := workload.WorkloadByName(name)
-	if err != nil {
-		return nil, err
-	}
-	specs, err := sim.SpecsForWorkload(w, cfg.Scale)
+func RunWorkloadWithPolicy(name string, policy Policy, baselineScheme Scheme, cfg Config) (*WorkloadResult, error) {
+	specs, err := workloadSpecs(name, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -183,16 +101,64 @@ func RunWorkloadWithPolicy(name string, policy Policy, baselineScheme Scheme, cf
 	if err != nil {
 		return nil, err
 	}
-	wr := &WorkloadResult{Workload: name, Scheme: Scheme(policy.Name()), Result: res}
-	for i, spec := range specs {
-		alone, err := cache.AloneIPC(spec.Name, baselineScheme, cfg)
+	alone, err := aloneIPCs(context.Background(), res, baselineScheme, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return newWorkloadResult(name, Scheme(policy.Name()), res, alone), nil
+}
+
+// workloadSpecs builds the program specs of a Table 10 workload at the
+// configuration's scale.
+func workloadSpecs(name string, cfg Config) ([]ProgramSpec, error) {
+	w, err := workload.WorkloadByName(name)
+	if err != nil {
+		return nil, err
+	}
+	return sim.SpecsForWorkload(w, cfg.Scale)
+}
+
+// aloneIPCs measures the stand-alone IPC of each distinct program of a
+// mix run (see aloneIPC).
+func aloneIPCs(ctx context.Context, res *Result, scheme Scheme, cfg Config) (map[string]float64, error) {
+	alone := make(map[string]float64, len(res.PerCore))
+	for _, c := range res.PerCore {
+		if _, ok := alone[c.Program]; ok {
+			continue
+		}
+		ipc, err := aloneIPC(ctx, c.Program, scheme, cfg)
 		if err != nil {
 			return nil, err
 		}
-		wr.AloneIPC = append(wr.AloneIPC, alone)
-		wr.Slowdowns = append(wr.Slowdowns, Slowdown(alone, res.PerCore[i].FirstIPC))
+		alone[c.Program] = ipc
+	}
+	return alone, nil
+}
+
+// aloneIPC measures IPC_SP, a program's stand-alone IPC: its run alone in
+// cfg's system under scheme (the paper measures IPC_SP under the same
+// management as the workload run), read through the run cache. The
+// stand-alone run is always fault-free: eq. 1's reference point is the
+// healthy machine, so injected faults show up as extra slowdown rather
+// than silently rescaling both sides of the ratio.
+func aloneIPC(ctx context.Context, program string, scheme Scheme, cfg Config) (float64, error) {
+	cfg.Faults = FaultPlan{}
+	res, err := RunProgramContext(ctx, program, scheme, cfg)
+	if err != nil {
+		return 0, err
+	}
+	return res.PerCore[0].FirstIPC, nil
+}
+
+// newWorkloadResult derives eq. 1's slowdowns and the figures of merit of
+// a mix run from its programs' stand-alone IPCs.
+func newWorkloadResult(name string, scheme Scheme, res *Result, alone map[string]float64) *WorkloadResult {
+	wr := &WorkloadResult{Workload: name, Scheme: scheme, Result: res}
+	for _, c := range res.PerCore {
+		wr.AloneIPC = append(wr.AloneIPC, alone[c.Program])
+		wr.Slowdowns = append(wr.Slowdowns, Slowdown(alone[c.Program], c.FirstIPC))
 	}
 	wr.WeightedSpeedup = WeightedSpeedup(wr.Slowdowns)
 	wr.MaxSlowdown = Unfairness(wr.Slowdowns)
-	return wr, nil
+	return wr
 }

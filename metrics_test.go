@@ -63,41 +63,38 @@ func TestRatio(t *testing.T) {
 	}
 }
 
-func TestBaselineCacheMemoises(t *testing.T) {
+// TestRunWorkloadAloneIPCIsStandAloneRun checks that eq. 1's baseline is
+// the program's own fault-free stand-alone run in the workload's system,
+// keyed like any other run: configurations that differ in a field such
+// as Seed get their own baselines, and a fault plan is stripped.
+func TestRunWorkloadAloneIPCIsStandAloneRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	cache := NewBaselineCache()
-	cfg := SingleCoreConfig(PaperScale)
-	cfg.Instructions = 100_000
-	a, err := cache.AloneIPC("leslie3d", SchemePoM, cfg)
+	plan, err := ParseFaultPlan("rate=1e-3,seed=3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := cache.AloneIPC("leslie3d", SchemePoM, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Errorf("cache returned different values: %v vs %v", a, b)
-	}
-	// Different scheme is a different key (may legitimately differ).
-	c, err := cache.AloneIPC("leslie3d", SchemeMDM, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c <= 0 {
-		t.Errorf("IPC %v", c)
-	}
-	// Different config (instructions) is a different key.
-	cfg2 := cfg
-	cfg2.Instructions = 120_000
-	d, err := cache.AloneIPC("leslie3d", SchemePoM, cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d <= 0 {
-		t.Errorf("IPC %v", d)
+	for _, seed := range []uint64{1, 7} {
+		cfg := MultiCoreConfig(PaperScale)
+		cfg.Instructions = 100_000
+		cfg.Seed = seed
+		cfg.Faults = plan
+		wr, err := RunWorkload("w09", SchemePoM, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clean := cfg
+		clean.Faults = FaultPlan{}
+		for i, c := range wr.Result.PerCore {
+			res, err := RunProgram(c.Program, SchemePoM, clean)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := res.PerCore[0].FirstIPC; wr.AloneIPC[i] != want {
+				t.Errorf("seed %d, %s: AloneIPC %v, stand-alone run's FirstIPC %v", seed, c.Program, wr.AloneIPC[i], want)
+			}
+		}
 	}
 }
 
@@ -107,7 +104,7 @@ func TestRunWorkloadMetrics(t *testing.T) {
 	}
 	cfg := MultiCoreConfig(PaperScale)
 	cfg.Instructions = 120_000
-	wr, err := RunWorkload("w02", SchemeProFess, cfg, nil)
+	wr, err := RunWorkload("w02", SchemeProFess, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -131,11 +131,16 @@ func Workloads() []Workload { return workload.Workloads() }
 // runSimCtx (the cache-aware funnel in runcache.go) wrap it; every
 // scheme-based entry point below goes through that funnel, so identical
 // runs within one process are memoised. See SetRunCaching to opt out.
+// A driver that calls it directly bypasses the funnel, so while a sweep
+// plan is being built it returns ErrNotPlannable instead of simulating.
 // The context's deadline/cancellation is polled inside the event loop,
 // so an in-flight simulation aborts within one watchdog epoch.
 // Simulations execute through a reusable simulation-state arena (see
 // arena.go); SetArenaReuse(false) restores per-run construction.
 func runSimUncached(ctx context.Context, cfg Config, specs []ProgramSpec, scheme Scheme) (*Result, error) {
+	if planning() {
+		return nil, ErrNotPlannable
+	}
 	theRunCache.sims.Add(1)
 	return runArena(ctx, cfg, specs, scheme)
 }
@@ -164,11 +169,7 @@ func RunMix(name string, scheme Scheme, cfg Config) (*Result, error) {
 
 // RunMixContext is RunMix honouring the context.
 func RunMixContext(ctx context.Context, name string, scheme Scheme, cfg Config) (*Result, error) {
-	w, err := workload.WorkloadByName(name)
-	if err != nil {
-		return nil, err
-	}
-	specs, err := sim.SpecsForWorkload(w, cfg.Scale)
+	specs, err := workloadSpecs(name, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -218,10 +219,4 @@ func RunWithPolicy(specs []ProgramSpec, policy Policy, cfg Config) (*Result, err
 // configuration's scale.
 func SpecFor(name string, cfg Config) (ProgramSpec, error) {
 	return sim.SpecForProgram(name, cfg.Scale)
-}
-
-// workloadSeed exposes the deterministic per-instance seed derivation for
-// experiment drivers that need extra seed replicas.
-func workloadSeed(program string, instance int) uint64 {
-	return workload.Seed(program, instance)
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -181,12 +182,12 @@ func runKey(cfg Config, specs []ProgramSpec, scheme Scheme) string {
 // fresh results through to it.
 //
 // Failures are never memoised: a run that errors (a cancelled context, a
-// transient injected fault, a wedged watchdog abort) evicts its entry so
+// transient injected fault, a wedged watchdog abort) or panics (recovered
+// into an error carrying the stack, as par.For does) evicts its entry so
 // the next caller re-attempts, rather than poisoning the key for the
 // process's lifetime. Callers already waiting on the singleflight share
 // the error — they asked for that attempt — but retries (the sweep
-// executor's backoff loop, RunMultiProgram's second pass) get a fresh
-// simulation.
+// executor's backoff loop) get a fresh simulation.
 func (c *runCache) cachedRun(key string, run func() (*Result, error)) (*Result, error) {
 	c.mu.Lock()
 	e, ok := c.m[key]
@@ -207,8 +208,13 @@ func (c *runCache) cachedRun(key string, run func() (*Result, error)) (*Result, 
 			from = fromDisk
 			return
 		}
-		e.res, e.err = run()
 		from = simulated
+		defer func() {
+			if r := recover(); r != nil {
+				e.res, e.err = nil, fmt.Errorf("run %s panicked: %v\n%s", key[:12], r, debug.Stack())
+			}
+		}()
+		e.res, e.err = run()
 		if e.err == nil {
 			theDiskCache.store(key, e.res)
 		}

@@ -32,13 +32,13 @@ import (
 // Enumeration is a dry run of the drivers themselves: while a plan is
 // being built, the runSim funnel records each requested cell and returns
 // a stub Result instead of simulating, so the exact production control
-// flow — seed replicas, footprint filters, shared baselines — decides the
-// cell set and the plan can never drift from the drivers.
+// flow — footprint filters, shared baselines — decides the cell set and
+// the plan can never drift from the drivers.
 
 // ErrNotPlannable marks an experiment that cannot be enumerated by a dry
 // run because it simulates outside the run-cache funnel (custom policies,
-// direct System use). PlanSweep skips such experiments; they simulate for
-// real when rendered.
+// direct System use, the timing-honest drivers' uncached runs). PlanSweep
+// skips such experiments; they simulate for real when rendered.
 var ErrNotPlannable = errors.New("profess: experiment does not funnel through the run cache and cannot be planned")
 
 // PlanCell is one deduplicated simulation a sweep will need.

@@ -180,26 +180,69 @@ func TestSweepExecuteRenderByteIdentical(t *testing.T) {
 	}
 }
 
-// TestPlanSweepUnplannable checks that custom-policy experiments are
-// reported rather than silently simulated during planning, and that
-// RunWithPolicy refuses to run inside a dry run.
-func TestPlanSweepUnplannable(t *testing.T) {
+// TestPlanSweepTWRSharesFig5 checks that sens-twr's x1 point is Fig. 5's
+// own system: the t_WR_M2 factor has one default, so those cells carry
+// Fig. 5's run keys and the plan simulates them once for both.
+func TestPlanSweepTWRSharesFig5(t *testing.T) {
 	ResetRunCache()
 	SetRunCaching(true)
 	defer ResetRunCache()
 
-	opts := ExpOptions{Instructions: 50_000, Programs: []string{"mcf"}, Parallelism: 1}
+	opts := ExpOptions{Instructions: 200_000}
 	plan, err := PlanSweep([]PlannedExperiment{
-		{Name: "table4", Run: func() error {
-			_, err := RunSamplingAccuracy(opts)
+		{Name: "fig5", Run: func() error {
+			_, err := RunSinglePrograms([]Scheme{SchemePoM, SchemeMDM}, opts)
+			return err
+		}},
+		{Name: "sens-twr", Run: func() error {
+			_, err := RunTWRSensitivity(opts)
 			return err
 		}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.Unplannable) != 1 || plan.Unplannable[0] != "table4" {
-		t.Errorf("Unplannable = %v, want [table4]", plan.Unplannable)
+	var shared int
+	for _, c := range plan.Cells {
+		if len(c.Experiments) == 2 {
+			shared++
+		}
+	}
+	if len(plan.Cells) != 46 || shared != 14 {
+		t.Errorf("fig5 + sens-twr plan %d distinct cells, %d shared (per experiment %v); want 46 and 14",
+			len(plan.Cells), shared, plan.PerExperiment)
+	}
+}
+
+// TestPlanSweepUnplannable checks that experiments which simulate
+// outside the run cache — probe-instrumented policies (table4), and the
+// timing-honest scale16 and sample drivers — are reported rather than
+// silently simulated during planning.
+func TestPlanSweepUnplannable(t *testing.T) {
+	ResetRunCache()
+	SetRunCaching(true)
+	defer ResetRunCache()
+
+	opts := ExpOptions{Instructions: 50_000, Programs: []string{"mcf"}, Workloads: []string{"w09"}, Parallelism: 1}
+	plan, err := PlanSweep([]PlannedExperiment{
+		{Name: "table4", Run: func() error {
+			_, err := RunSamplingAccuracy(opts)
+			return err
+		}},
+		{Name: "scale16", Run: func() error {
+			_, err := RunScale16(SchemeProFess, nil, opts)
+			return err
+		}},
+		{Name: "sample", Run: func() error {
+			_, err := RunSampleValidation(0.05, 0, []Scheme{SchemeProFess}, opts)
+			return err
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(plan.Unplannable, ","); got != "table4,scale16,sample" {
+		t.Errorf("Unplannable = %v, want [table4 scale16 sample]", plan.Unplannable)
 	}
 	if d := RunCacheDetail(); d.Sims != 0 {
 		t.Errorf("unplannable experiment simulated %d cells during planning", d.Sims)
