@@ -77,8 +77,10 @@ bench-smoke:
 
 # sweep-smoke is the CI guard for the persistent run cache: one sweep
 # runs twice against one cache directory in separate processes. The warm
-# pass must be >=90% cache hits and its report byte-identical to the
-# cold pass; the cold/warm wall times print for the job summary.
+# pass must be >=90% cache hits, must simulate nothing (the disk tier
+# answers every cell of a repeated plan), and its report must be
+# byte-identical to the cold pass; the cold/warm wall times print for
+# the job summary.
 sweep-smoke:
 	$(GO) build -o bin/professbench ./cmd/professbench
 	rm -rf bin/smokecache && mkdir -p bin/smokecache
@@ -87,10 +89,14 @@ sweep-smoke:
 	bin/professbench -exp $(SWEEP_EXPS) -instr $(SWEEP_INSTR) -workloads $(SWEEP_WORKLOADS) \
 		-cachedir bin/smokecache -benchout bin/smoke-warm.txt > bin/smoke-warm.out
 	cmp bin/smoke-cold.out bin/smoke-warm.out
-	@awk '/^BenchmarkExp\/total / { rate = -1; \
-		for (i = 1; i < NF; i++) if ($$(i+1) == "hit-rate-%") rate = $$i; \
-		printf "warm sweep hit rate: %s%%\n", rate; \
-		if (rate + 0 < 90) { print "run-cache hit rate below 90%"; exit 1 } }' bin/smoke-warm.txt
+	@awk '/^BenchmarkExp\/total / { rate = -1; sims = -1; \
+		for (i = 1; i < NF; i++) { \
+			if ($$(i+1) == "hit-rate-%") rate = $$i; \
+			if ($$(i+1) == "sims") sims = $$i; \
+		} \
+		printf "warm sweep hit rate: %s%%, %s sims\n", rate, sims; \
+		if (rate + 0 < 90) { print "run-cache hit rate below 90%"; exit 1 } \
+		if (sims != 0) { print "warm sweep simulated cells the disk tier holds"; exit 1 } }' bin/smoke-warm.txt
 	@awk '/^BenchmarkExp\/total /{printf "cold sweep: %.2fs\n", $$3 / 1e9}' bin/smoke-cold.txt
 	@awk '/^BenchmarkExp\/total /{printf "warm sweep: %.2fs\n", $$3 / 1e9}' bin/smoke-warm.txt
 
@@ -102,8 +108,8 @@ sweep-smoke:
 # resumed to completion against the same cache directory. Then two
 # identical sweeps start together on a fresh cache directory: both must
 # exit 0 with byte-identical reports, and since the second waits for the
-# plan's lock and resumes, their simulated counts must sum to the plan's
-# cell count. The gate: neither directory may hold a leases/ directory
+# plan's lock and resumes every cell from the disk cache, their
+# simulated counts must sum to the plan's cell count. The gate: neither directory may hold a leases/ directory
 # or an atomic-write temp file.
 chaos-smoke:
 	$(GO) test -race -count=1 -run 'TestChaos|TestExecute|TestDiskCacheMultiProcessWrites|TestDiskCacheSweepsTmpOrphans' .
@@ -156,10 +162,9 @@ shard-smoke:
 
 # arena-smoke is the CI guard for simulation-state arena reuse. The
 # differential arena-vs-fresh tests run under the race detector, then a
-# cold deterministic sweep (fig5: 18 cells, no cache, no disk) runs twice
-# — arena on and -noarena — with GODEBUG=gctrace=1 so the GC log lands in
-# the job output. The gates: both reports byte-identical, and the
-# arena-on pass stays under a fixed allocation budget per cell
+# cold deterministic sweep (fig5: 18 cells, no cache, no disk) runs once
+# with GODEBUG=gctrace=1 so the GC log lands in the job output. The gate:
+# the sweep stays under a fixed allocation budget per cell
 # (ARENA_ALLOC_BUDGET, just above the 85 per cell measured when it was
 # set), which fresh construction exceeds several-fold.
 # Deliberately excludes scale16: its report prints wall-clock scaling
@@ -172,9 +177,6 @@ arena-smoke:
 	$(GO) build -o bin/professbench ./cmd/professbench
 	GODEBUG=gctrace=1 bin/professbench -exp $(ARENA_EXPS) -instr $(ARENA_INSTR) \
 		-nocache -cachedir off -benchout bin/arena-on.txt > bin/arena-on.out 2> bin/arena-on.gc
-	GODEBUG=gctrace=1 bin/professbench -exp $(ARENA_EXPS) -instr $(ARENA_INSTR) \
-		-nocache -cachedir off -noarena -benchout bin/arena-off.txt > bin/arena-off.out 2> bin/arena-off.gc
-	cmp bin/arena-on.out bin/arena-off.out
 	@awk '/^BenchmarkExp\/total / { allocs = -1; sims = -1; \
 		for (i = 1; i < NF; i++) { \
 			if ($$(i+1) == "allocs") allocs = $$i; \
@@ -182,16 +184,9 @@ arena-smoke:
 		} \
 		if (sims <= 0) { print "arena sweep ran no sims"; exit 1 } \
 		per = allocs / sims; \
-		printf "arena-on:  %d allocs / %d cells = %.0f allocs/cell (budget $(ARENA_ALLOC_BUDGET))\n", allocs, sims, per; \
+		printf "arena: %d allocs / %d cells = %.0f allocs/cell (budget $(ARENA_ALLOC_BUDGET))\n", allocs, sims, per; \
 		if (per > $(ARENA_ALLOC_BUDGET)) { print "arena allocation budget exceeded"; exit 1 } }' bin/arena-on.txt
-	@awk '/^BenchmarkExp\/total / { allocs = -1; sims = -1; \
-		for (i = 1; i < NF; i++) { \
-			if ($$(i+1) == "allocs") allocs = $$i; \
-			if ($$(i+1) == "sims") sims = $$i; \
-		} \
-		printf "arena-off: %d allocs / %d cells = %.0f allocs/cell\n", allocs, sims, allocs / sims }' bin/arena-off.txt
-	@printf "gc cycles: arena-on %s, arena-off %s\n" \
-		"$$(grep -c '^gc ' bin/arena-on.gc || true)" "$$(grep -c '^gc ' bin/arena-off.gc || true)"
+	@printf "gc cycles: %s\n" "$$(grep -c '^gc ' bin/arena-on.gc || true)"
 
 # sample-smoke is the CI guard for the sampled-simulation tier (interval
 # sampling with functional fast-forward). Under the race detector it runs

@@ -175,7 +175,7 @@ func TestChaosKill9Resume(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep.Resumed != rep.Cells {
-		t.Errorf("verification pass resumed %d/%d cells; the workers' journal must cover the whole sweep", rep.Resumed, rep.Cells)
+		t.Errorf("verification pass resumed %d/%d cells; the workers must have stored the whole sweep", rep.Resumed, rep.Cells)
 	}
 	got := map[string]string{}
 	for _, e := range sweepTestExperiments(opts, got) {
@@ -548,6 +548,70 @@ func TestExecuteOnePlanOneProcess(t *testing.T) {
 	}
 	if d := RunCacheDetail(); int(d.Sims) != len(plan.Cells) {
 		t.Errorf("%d simulations for %d cells; each must simulate once", d.Sims, len(plan.Cells))
+	}
+}
+
+// TestExecuteResumesCellsOfOtherPlans checks that resume reads the disk
+// tier, not the plan's journal: fig2's plan, whose cells the fig2+fig10
+// plan already stored, starts with an empty journal of its own yet
+// resumes every cell, loading and simulating none of them. Fresh runs
+// them all again, each a disk hit.
+func TestExecuteResumesCellsOfOtherPlans(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	withDiskCache(t)
+	exps := sweepTestExperiments(sweepTestOpts(), nil)
+	full, err := PlanSweep(exps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := full.ExecuteOpts(context.Background(), ExecOptions{Parallelism: 2}); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := PlanSweep(exps[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	inFull := map[string]bool{}
+	for _, c := range full.Cells {
+		inFull[c.Key] = true
+	}
+	var shared int
+	for _, c := range sub.Cells {
+		if inFull[c.Key] {
+			shared++
+		}
+	}
+	if shared == 0 || sub.Hash() == full.Hash() {
+		t.Fatalf("fig2's plan shares %d cells with fig2+fig10 (hashes equal: %v); the test needs a distinct plan over stored cells",
+			shared, sub.Hash() == full.Hash())
+	}
+
+	ResetRunCache() // a fresh process: only the disk tier holds the cells
+	rep, err := sub.ExecuteOpts(context.Background(), ExecOptions{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Resumed != shared || rep.Done != rep.Cells-shared {
+		t.Errorf("report %+v, want %d cells resumed from the disk tier", rep, shared)
+	}
+	if d := RunCacheDetail(); d != (RunCacheCounters{}) {
+		t.Errorf("resuming loaded or simulated cells: %+v", d)
+	}
+	if recs, err := lease.ReadJournal(rep.JournalPath); err != nil || len(recs) != 0 {
+		t.Errorf("resumed plan journaled %d records (err %v), want none", len(recs), err)
+	}
+
+	rep, err = sub.ExecuteOpts(context.Background(), ExecOptions{Parallelism: 2, Fresh: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Resumed != 0 || rep.Done != rep.Cells {
+		t.Errorf("fresh report %+v, want all %d cells run", rep, rep.Cells)
+	}
+	if d := RunCacheDetail(); d != (RunCacheCounters{DiskHits: int64(rep.Cells)}) {
+		t.Errorf("fresh run counters %+v, want %d disk hits", d, rep.Cells)
 	}
 }
 

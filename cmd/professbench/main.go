@@ -126,8 +126,8 @@ func experiments() []experiment {
 		}},
 		// scale16 times real runs (and re-verifies worker-count determinism), so
 		// it bypasses the cache and reports itself unplannable.
-		{"scale16", "worker-count scaling curve of the clustered runner on the 16-program fleet (timing-honest; sweeps 1,2,4,8 workers)", "", func(opts profess.ExpOptions) (fmt.Stringer, error) {
-			return profess.RunScale16(profess.SchemeProFess, nil, opts)
+		{"scale16", "worker-count scaling curve of the clustered runner on the 16-program fleet (timing-honest; 1, 2, 4 and 8 workers, up to GOMAXPROCS)", "", func(opts profess.ExpOptions) (fmt.Stringer, error) {
+			return profess.RunScale16(profess.SchemeProFess, opts)
 		}},
 		// sample times real runs too (full vs sampled, both uncached).
 		{"sample", "sampled tier vs full fidelity: per-workload IPC error and speedup (timing-honest; fraction 0.05)", "", func(opts profess.ExpOptions) (fmt.Stringer, error) {
@@ -186,19 +186,15 @@ func main() {
 		nocache  = flag.Bool("nocache", false, "disable the run cache entirely: no plan/execute phases, every cell simulates from scratch as its experiment renders, and no disk tier")
 		cachedir = flag.String("cachedir", profess.DefaultRunCacheDir(), "persistent run-cache directory ('' or 'off' disables the disk tier)")
 		benchout = flag.String("benchout", "", "write go-bench-format wall-time and cache-counter lines to this file")
-		resume   = flag.Bool("resume", true, "resume an interrupted sweep from its journal in the cache directory; -resume=false discards prior progress and starts fresh")
-		noarena  = flag.Bool("noarena", false, "disable simulation-state arena reuse (every cell constructs a fresh machine; results are byte-identical either way)")
+		resume   = flag.Bool("resume", true, "skip the cells whose results the cache directory already holds; -resume=false runs every cell again (loading the stored ones) and starts the sweep's journal afresh")
 	)
 	flag.Usage = groupedUsage
 	flag.Parse()
 
-	if *noarena {
-		profess.SetArenaReuse(false)
-	}
-
 	// First SIGINT/SIGTERM drains gracefully: in-flight cells stop within
-	// one watchdog epoch, the plan lock is released, the journal stays
-	// resumable. A second signal kills the process the usual way.
+	// one watchdog epoch, the plan lock is released, and every finished
+	// cell is already in the disk cache for a re-run to resume. A second
+	// signal kills the process the usual way.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
@@ -304,7 +300,7 @@ func main() {
 		expvarCurrent.Set("execute")
 		rep, err := plan.ExecuteOpts(ctx, profess.ExecOptions{Parallelism: *par, Fresh: !*resume})
 		if errors.Is(err, context.Canceled) {
-			fmt.Fprintf(os.Stderr, "professbench: interrupted; %d/%d cells done, journal kept — re-run to resume\n",
+			fmt.Fprintf(os.Stderr, "professbench: interrupted; %d/%d cells done and stored — re-run to resume\n",
 				rep.Done+rep.Resumed, rep.Cells)
 			os.Exit(130)
 		}
@@ -316,7 +312,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "professbench: execute: %d simulated, %d from disk, %d already in memory (%.1fs)\n",
 			d.Sims, d.DiskHits, d.MemHits, time.Since(start).Seconds())
 		if rep.Resumed > 0 || rep.Retries > 0 {
-			fmt.Fprintf(os.Stderr, "professbench: execute: %d resumed from journal, %d retries\n",
+			fmt.Fprintf(os.Stderr, "professbench: execute: %d resumed from the disk cache, %d retries\n",
 				rep.Resumed, rep.Retries)
 		}
 		mallocs1, heap1 := memSnapshot()
@@ -374,7 +370,7 @@ func groupedUsage() {
 	}{
 		{"Experiment selection", []string{"exp", "list", "workloads", "programs"}},
 		{"Simulation scale", []string{"instr", "scale"}},
-		{"Execution (pure speed knobs; results are byte-identical)", []string{"parallel", "noarena"}},
+		{"Execution (pure speed knobs; results are byte-identical)", []string{"parallel"}},
 		{"Caching & durability", []string{"cachedir", "nocache", "resume"}},
 		{"Output & diagnostics", []string{"csv", "benchout", "debug"}},
 	}

@@ -1,19 +1,15 @@
 package profess
 
 import (
-	"bufio"
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -33,17 +29,19 @@ import (
 // Writes are atomic (temp file in the same directory + rename) so a
 // crashed or concurrent writer can never publish a half-written entry,
 // and concurrent processes sharing one directory at worst both write the
-// same bytes. The directory is bounded by an LRU byte cap: loads refresh
-// an entry's mtime and the pruner evicts oldest-first.
+// same bytes. The directory is bounded by an LRU byte cap, enforced when
+// a process attaches: loads refresh an entry's mtime and SetRunCacheDir
+// evicts oldest-first. A store lists no directory.
 
 // runCacheFormat is the on-disk envelope format version. Bump it when the
 // envelope or Result serialisation changes shape; every older entry is
 // then skipped and deleted on load.
 const runCacheFormat = 1
 
-// DefaultRunCacheSizeLimit bounds the cache directory's total size
-// (1 GiB) unless SetRunCacheSizeLimit overrides it.
-const DefaultRunCacheSizeLimit int64 = 1 << 30
+// runCacheSizeLimit bounds the cache directory's entries in bytes
+// (1 GiB, over a thousand times what a full sweep writes). Variable for
+// tests.
+var runCacheSizeLimit int64 = 1 << 30
 
 // runCacheCodeStamp identifies the code that produced an entry. Builds
 // stamped by the Go toolchain carry their VCS revision (plus "+dirty"
@@ -85,12 +83,11 @@ type diskEnvelope struct {
 }
 
 type diskCache struct {
-	mu    sync.Mutex
-	dir   string // "" = tier disabled
-	limit int64
+	mu  sync.Mutex
+	dir string // "" = tier disabled
 }
 
-var theDiskCache = &diskCache{limit: DefaultRunCacheSizeLimit}
+var theDiskCache = &diskCache{}
 
 // DefaultRunCacheDir returns the conventional persistent cache location,
 // $XDG_CACHE_HOME/profess/runs (falling back to the OS user cache dir),
@@ -107,14 +104,13 @@ func DefaultRunCacheDir() string {
 // (created if missing), or disables it when dir is empty. The tier sits
 // below the in-process cache: the singleflight still guarantees each cell
 // simulates (or loads) at most once per process. Attaching to a
-// directory also sweeps temp files orphaned by writers that died between
-// temp-file creation and the atomic rename.
+// directory also tidies it (see tidyRunCacheDir).
 func SetRunCacheDir(dir string) error {
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return fmt.Errorf("profess: run cache dir: %w", err)
 		}
-		sweepTmpOrphans(dir)
+		tidyRunCacheDir(dir)
 	}
 	theDiskCache.mu.Lock()
 	theDiskCache.dir = dir
@@ -128,52 +124,60 @@ func SetRunCacheDir(dir string) error {
 // stranded by a killed process. Variable for tests.
 var runCacheTmpGrace = 15 * time.Minute
 
-// sweepTmpOrphans removes stranded atomic-write temporaries under dir. A
-// writer killed between CreateTemp and Rename leaks its ".tmp-*" file;
-// nothing ever references it again, so reclaim it once it is old enough
-// that no live writer can still own it.
-func sweepTmpOrphans(dir string) {
+// tidyRunCacheDir lists dir once. It removes the ".tmp-*" files of
+// writers killed between CreateTemp and Rename, once they are old enough
+// that no live writer can still own them, then evicts ".json" entries
+// oldest-first (by last use) until the rest fit runCacheSizeLimit. Fresh
+// temp files, the sweeps/ journal subdirectory and foreign files are
+// neither counted nor removed.
+func tidyRunCacheDir(dir string) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return
 	}
+	type entry struct {
+		path  string
+		size  int64
+		mtime time.Time
+	}
+	var (
+		files []entry
+		total int64
+	)
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasPrefix(e.Name(), ".tmp-") {
-			continue
-		}
 		info, err := e.Info()
-		if err != nil {
+		if err != nil || e.IsDir() {
 			continue
 		}
-		if time.Since(info.ModTime()) > runCacheTmpGrace {
-			os.Remove(filepath.Join(dir, e.Name()))
+		path := filepath.Join(dir, e.Name())
+		switch {
+		case strings.HasPrefix(e.Name(), ".tmp-"):
+			if time.Since(info.ModTime()) > runCacheTmpGrace {
+				os.Remove(path)
+			}
+		case filepath.Ext(e.Name()) == ".json":
+			files = append(files, entry{path, info.Size(), info.ModTime()})
+			total += info.Size()
+		}
+	}
+	sort.Slice(files, func(i, j int) bool { return files[i].mtime.Before(files[j].mtime) })
+	for _, f := range files {
+		if total <= runCacheSizeLimit {
+			break
+		}
+		if os.Remove(f.path) == nil {
+			total -= f.size
 		}
 	}
 }
 
 // RunCacheDir returns the persistent tier's directory ("" when disabled).
-func RunCacheDir() string {
-	theDiskCache.mu.Lock()
-	defer theDiskCache.mu.Unlock()
-	return theDiskCache.dir
-}
+func RunCacheDir() string { return theDiskCache.directory() }
 
-// SetRunCacheSizeLimit caps the persistent tier's total size in bytes
-// (DefaultRunCacheSizeLimit initially). The oldest entries by last use are
-// evicted once the cap is exceeded; n <= 0 restores the default.
-func SetRunCacheSizeLimit(n int64) {
-	if n <= 0 {
-		n = DefaultRunCacheSizeLimit
-	}
-	theDiskCache.mu.Lock()
-	theDiskCache.limit = n
-	theDiskCache.mu.Unlock()
-}
-
-func (d *diskCache) snapshot() (dir string, limit int64) {
+func (d *diskCache) directory() string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.dir, d.limit
+	return d.dir
 }
 
 func (d *diskCache) path(dir, key string) string {
@@ -181,7 +185,7 @@ func (d *diskCache) path(dir, key string) string {
 }
 
 // load fetches and verifies one entry. A vanished file — including one
-// another process's LRU eviction removed between our lookup and read —
+// another process's eviction removed between our lookup and read —
 // is a clean miss: the caller re-simulates and overwrites, no error, no
 // deletion. Verification failures of bytes actually read (truncation
 // that escaped the atomic rename, older formats, foreign code stamps)
@@ -189,7 +193,7 @@ func (d *diskCache) path(dir, key string) string {
 // is skipped if the file changed size since the read, so a concurrent
 // writer's fresh entry is never the casualty of a stale verdict.
 func (d *diskCache) load(key string) (*Result, bool) {
-	dir, _ := d.snapshot()
+	dir := d.directory()
 	if dir == "" {
 		return nil, false
 	}
@@ -227,7 +231,7 @@ func (d *diskCache) load(key string) (*Result, bool) {
 		dropCorrupt()
 		return nil, false
 	}
-	// Refresh recency so the LRU pruner keeps live cells. Best-effort:
+	// Refresh recency so eviction keeps live cells. Best-effort:
 	// the entry may have been evicted since the read, which only costs
 	// the refresh.
 	now := time.Now()
@@ -235,12 +239,11 @@ func (d *diskCache) load(key string) (*Result, bool) {
 	return &res, true
 }
 
-// has reports whether a verified-shape entry file exists for the key
-// without decoding it. The sweep executor uses it to double-check
-// journal "done" claims: a cell is only skipped when its result is
-// actually present (it may have been LRU-evicted since).
+// has reports whether a non-empty entry file exists for the key, without
+// reading it. The sweep executor resumes such cells instead of running
+// them; load still verifies the entry when a driver renders it.
 func (d *diskCache) has(key string) bool {
-	dir, _ := d.snapshot()
+	dir := d.directory()
 	if dir == "" {
 		return false
 	}
@@ -248,144 +251,44 @@ func (d *diskCache) has(key string) bool {
 	return err == nil && st.Size() > 0
 }
 
-// storeBufPool recycles the per-store payload encode buffer, and
-// storeWriterPool the buffered file writer in front of the temp file.
-// Sweep workers store thousands of cells back to back; without pooling,
-// every cell re-grows a multi-kilobyte encode buffer from scratch.
-var (
-	storeBufPool    = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-	storeWriterPool = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 32<<10) }}
-)
-
-// jsonString renders s as a JSON string literal.
-func jsonString(s string) []byte {
-	b, _ := json.Marshal(s)
-	return b
-}
-
-// store writes one entry atomically, then prunes. Storage is best-effort:
-// any failure (including a Result that does not serialise, e.g. a NaN
-// metric) just means the cell stays a disk miss.
-//
-// The Result is serialised exactly once, into a pooled buffer; the
-// envelope is then written around it field by field, with the checksum
-// streamed over the payload bytes as they go to disk. (The old path
-// marshalled the envelope as a whole, which copied the payload a second
-// time — the dominant allocation of a warm sweep's write side.) The
-// "sum" field is emitted after "result": JSON field order is irrelevant
-// to decoding, and trailing placement is what lets the hash stream
-// during the single write pass. load() is unchanged — its RawMessage
-// captures exactly the payload bytes hashed here (the json.Encoder's
-// trailing newline is trimmed before hashing for the same reason).
+// store writes one entry atomically: a temp file in the cache directory,
+// then a rename over the entry's path. Storage is best-effort: any failure
+// (including a Result that does not serialise, e.g. a NaN metric) just
+// means the cell stays a disk miss. Marshalling the RawMessage result
+// re-emits the payload's compact bytes unchanged, so the checksum covers
+// exactly what load will hash.
 func (d *diskCache) store(key string, res *Result) {
-	dir, _ := d.snapshot()
+	dir := d.directory()
 	if dir == "" {
 		return
 	}
-	buf := storeBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer storeBufPool.Put(buf)
-	if err := json.NewEncoder(buf).Encode(res); err != nil {
+	payload, err := json.Marshal(res)
+	if err != nil {
 		return
 	}
-	payload := buf.Bytes()
-	if n := len(payload); n > 0 && payload[n-1] == '\n' {
-		payload = payload[:n-1]
+	sum := sha256.Sum256(payload)
+	data, err := json.Marshal(diskEnvelope{
+		Format: runCacheFormat,
+		Code:   runCacheCodeStamp,
+		Key:    key,
+		Sum:    hex.EncodeToString(sum[:]),
+		Result: payload,
+	})
+	if err != nil {
+		return
 	}
-
 	tmp, err := os.CreateTemp(dir, ".tmp-*")
 	if err != nil {
 		return
 	}
-	bw := storeWriterPool.Get().(*bufio.Writer)
-	bw.Reset(tmp)
-	releaseWriter := func() {
-		bw.Reset(nil)
-		storeWriterPool.Put(bw)
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-
-	h := sha256.New()
-	bw.WriteString(`{"format":`)
-	bw.WriteString(strconv.Itoa(runCacheFormat))
-	bw.WriteString(`,"code":`)
-	bw.Write(jsonString(runCacheCodeStamp))
-	bw.WriteString(`,"key":`)
-	bw.Write(jsonString(key))
-	bw.WriteString(`,"result":`)
-	if _, err := io.MultiWriter(bw, h).Write(payload); err != nil {
-		releaseWriter()
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return
+	if err == nil {
+		err = os.Rename(tmp.Name(), d.path(dir, key))
 	}
-	bw.WriteString(`,"sum":"`)
-	bw.WriteString(hex.EncodeToString(h.Sum(nil)))
-	bw.WriteString(`"}`)
-	if err := bw.Flush(); err != nil {
-		releaseWriter()
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return
-	}
-	releaseWriter()
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := os.Rename(tmp.Name(), d.path(dir, key)); err != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	d.prune(dir)
-}
-
-// prune evicts entries oldest-first until the directory fits the size
-// cap. Serialised under the cache mutex so concurrent stores do not race
-// the directory scan. Only ".json" entries count toward the size cap and
-// are eviction candidates: orphaned temp files (reclaimed separately by
-// sweepTmpOrphans once stale), the sweeps/ journal subdirectory and other
-// foreign files neither inflate the accounted size nor get evicted.
-func (d *diskCache) prune(dir string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.dir != dir {
-		return // retargeted while storing
-	}
-	sweepTmpOrphans(dir)
-	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return
-	}
-	type ent struct {
-		path  string
-		size  int64
-		mtime time.Time
-	}
-	var (
-		files []ent
-		total int64
-	)
-	for _, e := range entries {
-		if e.IsDir() || filepath.Ext(e.Name()) != ".json" {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		files = append(files, ent{filepath.Join(dir, e.Name()), info.Size(), info.ModTime()})
-		total += info.Size()
-	}
-	if total <= d.limit {
-		return
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].mtime.Before(files[j].mtime) })
-	for _, f := range files {
-		if total <= d.limit {
-			break
-		}
-		if os.Remove(f.path) == nil {
-			total -= f.size
-		}
+		os.Remove(tmp.Name())
 	}
 }

@@ -1,7 +1,9 @@
 package profess
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -25,10 +27,17 @@ func withDiskCache(t *testing.T) string {
 		if err := SetRunCacheDir(""); err != nil {
 			t.Fatal(err)
 		}
-		SetRunCacheSizeLimit(0)
 		ResetRunCache()
 	})
 	return dir
+}
+
+// withRunCacheSizeLimit sets the disk tier's byte cap for one test.
+func withRunCacheSizeLimit(t *testing.T, n int64) {
+	t.Helper()
+	old := runCacheSizeLimit
+	runCacheSizeLimit = n
+	t.Cleanup(func() { runCacheSizeLimit = old })
 }
 
 func smallCfg() Config {
@@ -158,24 +167,35 @@ func TestDiskCacheStampNamesGOARCH(t *testing.T) {
 	}
 }
 
-// TestDiskCacheLRUSizeCap fills the tier past a tiny byte cap and checks
-// the oldest entries (by last use) are evicted while the newest survive.
+// TestDiskCacheLRUSizeCap fills the tier, then re-attaches it under a
+// cap of about two entries: attaching evicts the oldest entry (by last
+// use) and keeps the newer two, and a later store evicts nothing, since
+// the cap is enforced on attach only.
 func TestDiskCacheLRUSizeCap(t *testing.T) {
 	dir := withDiskCache(t)
 	cfg := smallCfg()
 
 	progs := []string{"mcf", "lbm", "milc"}
+	var (
+		biggest int64
+		oldest  string
+	)
 	for i, p := range progs {
 		if _, err := RunProgram(p, SchemePoM, cfg); err != nil {
 			t.Fatal(err)
 		}
-		// Space the mtimes out so LRU order is unambiguous.
+		// Space the mtimes out so LRU order is unambiguous: the entry of
+		// progs[i] is i hours younger than the first.
 		entries, _ := filepath.Glob(filepath.Join(dir, "*.json"))
+		if i == 0 {
+			oldest = entries[0]
+		}
 		for _, e := range entries {
 			info, err := os.Stat(e)
 			if err != nil {
 				t.Fatal(err)
 			}
+			biggest = max(biggest, info.Size())
 			old := time.Now().Add(-time.Duration(len(progs)-i) * time.Hour)
 			if info.ModTime().After(old) {
 				if err := os.Chtimes(e, old, old); err != nil {
@@ -184,54 +204,46 @@ func TestDiskCacheLRUSizeCap(t *testing.T) {
 			}
 		}
 	}
-	entries, _ := filepath.Glob(filepath.Join(dir, "*.json"))
-	if len(entries) != len(progs) {
-		t.Fatalf("want %d entries, got %d", len(progs), len(entries))
-	}
-	var biggest int64
-	for _, e := range entries {
-		info, err := os.Stat(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.Size() > biggest {
-			biggest = info.Size()
-		}
-	}
 
-	// Cap to roughly two entries and store a fourth cell: the two oldest
-	// must be evicted.
-	SetRunCacheSizeLimit(2 * biggest)
-	if _, err := RunProgram("omnetpp", SchemePoM, cfg); err != nil {
+	withRunCacheSizeLimit(t, 2*biggest)
+	if err := SetRunCacheDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	after, _ := filepath.Glob(filepath.Join(dir, "*.json"))
-	if len(after) >= 4 {
-		t.Fatalf("size cap did not evict: %d entries remain", len(after))
+	if len(after) != 2 {
+		t.Fatalf("attach under a two-entry cap left %d entries, want 2", len(after))
 	}
-	// The newest entry (the one just stored) must have survived.
-	var newestAlive bool
-	for _, e := range after {
-		info, err := os.Stat(e)
-		if err != nil {
-			continue
-		}
-		if time.Since(info.ModTime()) < time.Hour {
-			newestAlive = true
-		}
+	if _, err := os.Stat(oldest); !os.IsNotExist(err) {
+		t.Error("attach evicted a newer entry and kept the least recently used one")
 	}
-	if !newestAlive {
-		t.Error("LRU eviction removed the most recent entry")
+
+	if _, err := RunProgram("omnetpp", SchemePoM, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := filepath.Glob(filepath.Join(dir, "*.json")); len(n) != 3 {
+		t.Errorf("a store over the cap left %d entries, want 3: stores must not evict", len(n))
 	}
 }
 
-// TestDiskCacheSweepsTmpOrphans checks that temp files stranded by a
-// writer killed before its atomic rename are reclaimed once past the
-// grace period — and that fresh temp files (a live writer's) survive
-// both the attach-time sweep and the pruner, which must also exclude
-// them from the size accounting.
+// TestDiskCacheSweepsTmpOrphans checks that attaching a directory
+// reclaims temp files stranded by a writer killed before its atomic
+// rename once they are past the grace period, while a fresh temp file (a
+// live writer's) is neither removed nor counted toward the size cap: an
+// entry that exactly fills the cap survives the attach beside it.
 func TestDiskCacheSweepsTmpOrphans(t *testing.T) {
-	dir := t.TempDir()
+	dir := withDiskCache(t)
+	if _, err := RunProgram("mcf", SchemePoM, smallCfg()); err != nil {
+		t.Fatal(err)
+	}
+	entries, _ := filepath.Glob(filepath.Join(dir, "*.json"))
+	if len(entries) != 1 {
+		t.Fatalf("want one entry, got %v", entries)
+	}
+	info, err := os.Stat(entries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	old := filepath.Join(dir, ".tmp-stranded")
 	fresh := filepath.Join(dir, ".tmp-live")
 	for _, p := range []string{old, fresh} {
@@ -244,34 +256,18 @@ func TestDiskCacheSweepsTmpOrphans(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ResetRunCache()
-	SetRunCaching(true)
+	withRunCacheSizeLimit(t, info.Size())
 	if err := SetRunCacheDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		if err := SetRunCacheDir(""); err != nil {
-			t.Fatal(err)
-		}
-		SetRunCacheSizeLimit(0)
-		ResetRunCache()
-	})
-
 	if _, err := os.Stat(old); !os.IsNotExist(err) {
 		t.Error("stale orphan survived the attach-time sweep")
 	}
 	if _, err := os.Stat(fresh); err != nil {
 		t.Errorf("fresh temp file (a live writer's) was swept: %v", err)
 	}
-
-	// A store under a tiny cap prunes entries by their own size: the
-	// fresh temp file neither counts toward the total nor gets evicted.
-	SetRunCacheSizeLimit(1)
-	if _, err := RunProgram("mcf", SchemePoM, smallCfg()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(fresh); err != nil {
-		t.Errorf("pruner removed a live temp file: %v", err)
+	if _, err := os.Stat(entries[0]); err != nil {
+		t.Errorf("an entry within the cap was evicted, so the fresh temp file was counted: %v", err)
 	}
 }
 
@@ -292,5 +288,37 @@ func TestDiskCacheIgnoresForeignFiles(t *testing.T) {
 	}
 	if d := RunCacheDetail(); d.DiskHits != 1 {
 		t.Errorf("foreign file broke the disk tier: %+v", d)
+	}
+}
+
+// BenchmarkDiskCacheStore times storing one real Result under a new key
+// into a directory that already holds 3,000 entries (ten full sweeps'
+// worth), the way a sweep worker stores each finished cell.
+func BenchmarkDiskCacheStore(b *testing.B) {
+	SetRunCaching(true)
+	ResetRunCache()
+	res, err := RunProgram("mcf", SchemePoM, smallCfg())
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	filler := bytes.Repeat([]byte("x"), 2048)
+	for i := 0; i < 3000; i++ {
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("filler-%04d.json", i)), filler, 0o644); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := SetRunCacheDir(dir); err != nil {
+		b.Fatal(err)
+	}
+	defer func() {
+		if err := SetRunCacheDir(""); err != nil {
+			b.Fatal(err)
+		}
+		ResetRunCache()
+	}()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		theDiskCache.store(fmt.Sprintf("bench-%d", i), res)
 	}
 }

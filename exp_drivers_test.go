@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -264,6 +266,34 @@ func TestRunOracleDriver(t *testing.T) {
 	}
 	if res.PerCore[0].IPC <= static.PerCore[0].IPC {
 		t.Errorf("oracle IPC %v should beat static %v", res.PerCore[0].IPC, static.PerCore[0].IPC)
+	}
+}
+
+// TestRunScale16WorkerCurve pins the scaling curve's worker counts: 1,
+// 2, 4 and 8, capped at GOMAXPROCS, with the 1-worker point always kept.
+func TestRunScale16WorkerCurve(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	opts := ExpOptions{Instructions: 5_000}
+	for _, tc := range []struct {
+		procs int
+		want  []int
+	}{
+		{1, []int{1}},
+		{3, []int{1, 2}},
+		{8, []int{1, 2, 4, 8}},
+	} {
+		runtime.GOMAXPROCS(tc.procs)
+		rep, err := RunScale16(SchemeProFess, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []int
+		for _, p := range rep.Points {
+			got = append(got, p.Shards)
+		}
+		if !slices.Equal(got, tc.want) || rep.GoMaxProcs != tc.procs {
+			t.Errorf("GOMAXPROCS %d: workers %v (report says GOMAXPROCS %d), want %v", tc.procs, got, rep.GoMaxProcs, tc.want)
+		}
 	}
 }
 

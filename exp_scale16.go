@@ -64,13 +64,14 @@ func (r *Scale16Report) CSV() string {
 	return b.String()
 }
 
-// RunScale16 runs the Scale16 fleet once per shard count (default 1, 2,
-// 4, 8), verifies every run is byte-identical to the first, and reports
-// the wall-clock scaling curve. The run cache is deliberately bypassed:
-// the points are identical cells by design, and serving point N from
-// point 1's cache entry would fake both the timing and the identity
-// check. A sweep plan therefore lists it as unplannable.
-func RunScale16(scheme Scheme, shardCounts []int, opts ExpOptions) (*Scale16Report, error) {
+// RunScale16 runs the Scale16 fleet once per worker count — 1, 2, 4 and
+// 8, leaving out counts above GOMAXPROCS, which cannot run faster —
+// verifies every run is byte-identical to the first, and reports the
+// wall-clock scaling curve. The run cache is deliberately bypassed: the
+// points are identical cells by design, and serving point N from point
+// 1's cache entry would fake both the timing and the identity check. A
+// sweep plan therefore lists it as unplannable.
+func RunScale16(scheme Scheme, opts ExpOptions) (*Scale16Report, error) {
 	cfg := Scale16Config(opts.scale())
 	if opts.Instructions > 0 {
 		cfg.Instructions = opts.Instructions
@@ -80,15 +81,12 @@ func RunScale16(scheme Scheme, shardCounts []int, opts ExpOptions) (*Scale16Repo
 	if err != nil {
 		return nil, err
 	}
-	if len(shardCounts) == 0 {
-		shardCounts = []int{1, 2, 4, 8}
-	}
 	rep := &Scale16Report{Scheme: scheme, GoMaxProcs: runtime.GOMAXPROCS(0)}
 	var (
 		baseJSON []byte
 		baseWall time.Duration
 	)
-	for i, n := range shardCounts {
+	for n := 1; n <= min(8, rep.GoMaxProcs); n *= 2 {
 		c := cfg
 		c.Shards = n
 		t0 := time.Now()
@@ -102,14 +100,14 @@ func RunScale16(scheme Scheme, shardCounts []int, opts ExpOptions) (*Scale16Repo
 			return nil, err
 		}
 		pt := Scale16Point{Shards: n, WallMS: float64(wall.Microseconds()) / 1000, Identical: true, Speedup: 1}
-		if i == 0 {
+		if n == 1 {
 			baseJSON, baseWall = js, wall
 			rep.Result = res
 			rep.Cycles = res.Cycles
 			rep.ClusterDone = res.ClusterDone
 		} else {
 			if !bytes.Equal(js, baseJSON) {
-				return nil, fmt.Errorf("scale16: shards=%d produced a different Result than shards=%d — determinism contract broken", n, shardCounts[0])
+				return nil, fmt.Errorf("scale16: shards=%d produced a different Result than shards=1 — determinism contract broken", n)
 			}
 			if wall > 0 {
 				pt.Speedup = float64(baseWall) / float64(wall)

@@ -186,3 +186,38 @@ func TestProFessSuspendsGuidanceWhileRSMDegraded(t *testing.T) {
 		t.Errorf("guidance suspensions = %d, want %d", p.GuidanceSuspended, before+1)
 	}
 }
+
+// TestDegradedCyclesCountedOnce checks that degraded time is a machine's,
+// counted once: MDM with two degraded programs, and ProFess with its RSM
+// and its MDM degraded together, each report the 30 cycles between the
+// first and last of four accesses, not one tally per degraded program or
+// monitor.
+func TestDegradedCyclesCountedOnce(t *testing.T) {
+	m := newTestMDM(t, DefaultMDMConfig(2))
+	m.OnSTCEvict(0, hybrid.NumQI, 1, 5)
+	m.OnSTCEvict(1, hybrid.NumQI, 1, 5)
+	ctx := &mdmCtx{m1slot: 0, owners: map[int]int{}}
+	for now := int64(10); now <= 40; now += 10 {
+		m.OnAccess(hybrid.AccessInfo{Now: now, Core: int(now/10) % 2, Group: 7, Slot: 0, Loc: 0}, ctx)
+	}
+	if got := m.ResilienceStats().DegradedCycles; got != 30 {
+		t.Errorf("MDM with two degraded programs: %d degraded cycles over 30 elapsed", got)
+	}
+
+	p := newTestProFess(t)
+	p.SetFaultInjector(fault.NewInjector(fault.Plan{Seed: 2, SFCorruptRate: 1}))
+	for i := int64(0); i < p.rsm.cfg.SamplingRequests; i++ {
+		p.OnServed(0, 0, false, i%2 == 0)
+	}
+	p.OnSTCEvict(0, hybrid.NumQI, 1, 5)
+	if !p.RSM().Degraded(0) || !p.MDM().Degraded(0) {
+		t.Fatal("program 0 should be degraded in both the RSM and MDM")
+	}
+	for now := int64(10); now <= 40; now += 10 {
+		// M1 and the accessed M2 block share an owner: plain MDM decides.
+		p.OnAccess(hybrid.AccessInfo{Now: now, Core: 0, Group: 7, Slot: 4, Loc: 4, Entry: decideEntry(2, 0, 0, 0)}, ctx)
+	}
+	if got := p.ResilienceStats().DegradedCycles; got != 30 {
+		t.Errorf("ProFess with RSM and MDM degraded: %d degraded cycles over 30 elapsed", got)
+	}
+}

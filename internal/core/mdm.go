@@ -60,10 +60,8 @@ type mdmProgram struct {
 
 	// degraded marks the program's learned statistics as untrusted after a
 	// corrupt counter update was detected; while set, migration decisions
-	// fall back to competing counters. lastNow supports the degraded-cycle
-	// accounting (the MDM has no clock of its own, only access stamps).
+	// fall back to competing counters.
 	degraded bool
-	lastNow  int64
 }
 
 // MDM is the probabilistic Migration-Decision Mechanism: it learns, per
@@ -90,12 +88,15 @@ type MDM struct {
 
 	// CorruptUpdates counts Table 6 updates rejected as corrupt;
 	// DegradedEntries counts transitions into degraded mode;
-	// DegradedCycles accrues cycles spent degraded; DegradedDecisions
-	// counts accesses decided by the fallback competing counters.
+	// DegradedCycles accrues the cycles during which any program was
+	// degraded, measured between consecutive access stamps (the MDM has
+	// no clock of its own); DegradedDecisions counts accesses decided by
+	// the fallback competing counters.
 	CorruptUpdates    int64
 	DegradedEntries   int64
 	DegradedCycles    int64
 	DegradedDecisions int64
+	lastNow           int64
 }
 
 // ccGroup is one swap group's competing counter for the degraded-mode
@@ -167,7 +168,7 @@ func (m *MDM) OnSTCEvict(core int, qI, qE uint8, count uint32) {
 		if !p.degraded {
 			m.DegradedEntries++
 		}
-		*p = mdmProgram{observing: true, Recomputations: p.Recomputations, degraded: true, lastNow: p.lastNow}
+		*p = mdmProgram{observing: true, Recomputations: p.Recomputations, degraded: true}
 		for q := 0; q < hybrid.NumQI; q++ {
 			p.expCnt[q] = m.cfg.InitialExpCnt
 		}
@@ -237,6 +238,10 @@ func (m *MDM) dropFallbackIfIdle() {
 	}
 	m.fallback = nil
 }
+
+// AnyDegraded reports whether any program's learned statistics are
+// untrusted: the fallback counters exist exactly then.
+func (m *MDM) AnyDegraded() bool { return m.fallback != nil }
 
 // Degraded reports whether the program's learned statistics are currently
 // untrusted.
@@ -311,18 +316,11 @@ func (m *MDM) Decide(info hybrid.AccessInfo, ctl hybrid.PolicyContext, treatM1Va
 // Degraded programs are decided by the competing-counter fallback instead
 // of the (untrusted) learned estimates.
 func (m *MDM) OnAccess(info hybrid.AccessInfo, ctl hybrid.PolicyContext) {
-	degraded := false
-	if info.Core >= 0 && info.Core < len(m.progs) {
-		p := &m.progs[info.Core]
-		if p.degraded {
-			degraded = true
-			if p.lastNow > 0 && info.Now > p.lastNow {
-				m.DegradedCycles += info.Now - p.lastNow
-			}
-		}
-		p.lastNow = info.Now
+	if m.AnyDegraded() && m.lastNow > 0 && info.Now > m.lastNow {
+		m.DegradedCycles += info.Now - m.lastNow
 	}
-	if degraded {
+	m.lastNow = info.Now
+	if m.Degraded(info.Core) {
 		m.fallbackAccess(info, ctl)
 		return
 	}

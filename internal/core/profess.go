@@ -84,8 +84,9 @@ type ProFess struct {
 	// skipped because an involved program's slowdown factors were degraded.
 	GuidanceSuspended int64
 	// DegradedCycles accrues simulated time during which at least one
-	// program's monitor was degraded (measured between consecutive access
-	// stamps — the policy has no clock of its own).
+	// program's RSM slowdown factors or MDM statistics were degraded
+	// (measured between consecutive access stamps — the policy has no
+	// clock of its own).
 	DegradedCycles int64
 	lastNow        int64
 }
@@ -161,10 +162,8 @@ func (p *ProFess) Classify(cM1, cM2 int) Decision {
 // OnAccess implements hybrid.Policy: Table 7 guidance around MDM.
 func (p *ProFess) OnAccess(info hybrid.AccessInfo, ctl hybrid.PolicyContext) {
 	degraded := p.rsm.AnyDegraded()
-	if degraded {
-		if p.lastNow > 0 && info.Now > p.lastNow {
-			p.DegradedCycles += info.Now - p.lastNow
-		}
+	if (degraded || p.mdm.AnyDegraded()) && p.lastNow > 0 && info.Now > p.lastNow {
+		p.DegradedCycles += info.Now - p.lastNow
 	}
 	p.lastNow = info.Now
 	if info.Loc == 0 {
@@ -218,13 +217,14 @@ func (p *ProFess) RegisterTelemetry(s *telemetry.Sampler) {
 func (p *ProFess) SetFaultInjector(inj *fault.Injector) { p.rsm.SetFaultInjector(inj) }
 
 // ResilienceStats aggregates the degradation counters of the wrapped
-// mechanism and monitor.
+// mechanism and monitor. DegradedCycles is the framework's own count,
+// which already covers the time MDM spends degraded.
 func (p *ProFess) ResilienceStats() stats.Resilience {
 	r := p.mdm.ResilienceStats()
 	r.ImplausibleSFs += p.rsm.ImplausibleSFs
 	r.DegradedEntries += p.rsm.DegradedEntries
 	r.DegradedDecisions += p.GuidanceSuspended
-	r.DegradedCycles += p.DegradedCycles
+	r.DegradedCycles = p.DegradedCycles
 	return r
 }
 

@@ -1,15 +1,17 @@
-// Package lease keeps a sweep's durable progress and its ownership in one
+// Package lease keeps a sweep's ownership and its progress log in one
 // file: an append-only JSONL journal per sweep plan, recording
 // claimed/done/failed cell transitions keyed by run key. The process
 // executing a plan holds an exclusive flock(2) on the plan's journal for
 // the whole sweep, so one process at a time executes a plan, and the
-// kernel drops the lock the moment its holder exits or dies. A later
-// process resumes by replaying the journal and skipping completed cells.
+// kernel drops the lock the moment its holder exits or dies.
 //
 // The journal is advisory: the simulation results live in the
-// content-addressed run cache, whose writes are atomic and idempotent, so
-// a lost record or a lock a filesystem does not honour costs duplicated
-// work, never wrong results. flock makes the package Unix-only.
+// content-addressed run cache, whose writes are atomic and idempotent,
+// and a later process resumes by skipping the cells whose results the
+// cache holds, not by reading the journal. A lost record or a lock a
+// filesystem does not honour costs duplicated work, never wrong results.
+// ReadJournal serves tools that audit or trace a sweep. flock makes the
+// package Unix-only.
 package lease
 
 import (
@@ -32,7 +34,7 @@ type Status string
 const (
 	// StatusClaimed marks a worker starting (an attempt at) a cell. A
 	// claimed record with no matching done/failed means the worker died
-	// mid-cell; resume re-runs the cell.
+	// mid-cell.
 	StatusClaimed Status = "claimed"
 	// StatusDone marks a cell completed, its result durable in the run
 	// cache.
@@ -155,9 +157,8 @@ func (j *Journal) Close() error {
 }
 
 // ReadJournal reads a journal's complete records. Unparseable complete
-// lines are skipped — a corrupt journal degrades to duplicated work, not
-// failure — and so is a torn final line, the trace of a write cut by a
-// crash.
+// lines are skipped, and so is a torn final line, the trace of a write
+// cut by a crash.
 func ReadJournal(path string) ([]Record, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

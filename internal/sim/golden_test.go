@@ -223,3 +223,28 @@ func TestSampledGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestGoldenResultsDegradedCyclesBound checks every committed golden
+// Result against one identity: a machine's degraded time is counted once,
+// whichever programs or monitors are degraded, so DegradedCycles is at
+// most Cycles per cluster (one cluster when ClusterDone is empty).
+func TestGoldenResultsDegradedCyclesBound(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "golden", "*", "*.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no golden Results found (err %v)", err)
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res Result
+		if err := json.Unmarshal(data, &res); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		machines := int64(max(1, len(res.ClusterDone)))
+		if got, bound := res.Resilience.DegradedCycles, res.Cycles*machines; got > bound {
+			t.Errorf("%s: DegradedCycles %d exceeds Cycles x machines = %d", path, got, bound)
+		}
+	}
+}

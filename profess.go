@@ -136,7 +136,7 @@ func Workloads() []Workload { return workload.Workloads() }
 // The context's deadline/cancellation is polled inside the event loop,
 // so an in-flight simulation aborts within one watchdog epoch.
 // Simulations execute through a reusable simulation-state arena (see
-// arena.go); SetArenaReuse(false) restores per-run construction.
+// arena.go).
 func runSimUncached(ctx context.Context, cfg Config, specs []ProgramSpec, scheme Scheme) (*Result, error) {
 	if planning() {
 		return nil, ErrNotPlannable

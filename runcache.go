@@ -76,14 +76,6 @@ func ResetRunCache() {
 	theRunCache.sims.Store(0)
 }
 
-// RunCacheStats returns the cache's cumulative hit and miss counts. A hit
-// is a run served without simulating (from either tier); a miss is a
-// simulation that actually executed.
-func RunCacheStats() (hits, misses int64) {
-	d := RunCacheDetail()
-	return d.MemHits + d.DiskHits, d.Sims
-}
-
 // RunCacheCounters breaks the cache accounting down by tier.
 type RunCacheCounters struct {
 	// MemHits counts runs served from the in-process tier (including

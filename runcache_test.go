@@ -25,16 +25,16 @@ func TestRunCacheMemoises(t *testing.T) {
 	if r1 != r2 {
 		t.Error("identical runs should share one cached Result")
 	}
-	if hits, misses := RunCacheStats(); hits != 1 || misses != 1 {
-		t.Errorf("stats = %d hits / %d misses, want 1/1", hits, misses)
+	if d := RunCacheDetail(); d != (RunCacheCounters{MemHits: 1, Sims: 1}) {
+		t.Errorf("counters %+v, want 1 mem hit and 1 sim", d)
 	}
 
 	// A different scheme is a different cell.
 	if _, err := RunProgram("mcf", SchemeMDM, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, misses := RunCacheStats(); misses != 2 {
-		t.Errorf("different scheme should miss; misses = %d", misses)
+	if d := RunCacheDetail(); d.Sims != 2 {
+		t.Errorf("different scheme should simulate; sims = %d", d.Sims)
 	}
 
 	// Disabling the cache forces a fresh simulation.
@@ -49,8 +49,8 @@ func TestRunCacheMemoises(t *testing.T) {
 	SetRunCaching(true)
 
 	ResetRunCache()
-	if hits, misses := RunCacheStats(); hits != 0 || misses != 0 {
-		t.Errorf("reset left stats %d/%d", hits, misses)
+	if d := RunCacheDetail(); d != (RunCacheCounters{}) {
+		t.Errorf("reset left counters %+v", d)
 	}
 }
 
@@ -147,8 +147,8 @@ func TestRunCacheBypassesTelemetry(t *testing.T) {
 	if r1 == r2 {
 		t.Error("telemetry-enabled runs must bypass the cache")
 	}
-	if hits, _ := RunCacheStats(); hits != 0 {
-		t.Errorf("telemetry runs recorded %d cache hits, want 0", hits)
+	if d := RunCacheDetail(); d.MemHits+d.DiskHits != 0 {
+		t.Errorf("telemetry runs recorded cache hits %+v, want none", d)
 	}
 }
 
@@ -201,8 +201,7 @@ func TestRunCacheCountersTable(t *testing.T) {
 }
 
 // TestRunCacheDetailTiers checks the per-tier attribution RunCacheDetail
-// reports: a cold run is a sim, a repeat is a memory hit, and the
-// aggregate RunCacheStats view stays consistent with the detail.
+// reports: a cold run is a sim and a repeat is a memory hit.
 func TestRunCacheDetailTiers(t *testing.T) {
 	ResetRunCache()
 	cfg := SingleCoreConfig(PaperScale)
@@ -219,11 +218,6 @@ func TestRunCacheDetailTiers(t *testing.T) {
 	}
 	if d := RunCacheDetail().Sub(before); d != (RunCacheCounters{MemHits: 1}) {
 		t.Fatalf("warm run delta: %+v, want exactly one mem hit", d)
-	}
-	hits, misses := RunCacheStats()
-	d := RunCacheDetail()
-	if hits != d.MemHits+d.DiskHits || misses != d.Sims {
-		t.Errorf("RunCacheStats (%d, %d) inconsistent with detail %+v", hits, misses, d)
 	}
 }
 
@@ -256,8 +250,8 @@ func TestRunCacheShardInvariant(t *testing.T) {
 	if r1 != r8 {
 		t.Error("shards=1 and shards=8 runs should share one cached Result")
 	}
-	if hits, misses := RunCacheStats(); hits != 1 || misses != 1 {
-		t.Errorf("stats = %d hits / %d misses, want 1/1 (shards must not split the key)", hits, misses)
+	if d := RunCacheDetail(); d != (RunCacheCounters{MemHits: 1, Sims: 1}) {
+		t.Errorf("counters %+v, want 1 mem hit and 1 sim (shards must not split the key)", d)
 	}
 
 	// Clusters is semantic: a different topology is a different cell.

@@ -240,9 +240,9 @@ func (p *SweepPlan) Hash() string {
 type ExecOptions struct {
 	// Parallelism bounds concurrent cells (0 = GOMAXPROCS).
 	Parallelism int
-	// Fresh truncates the plan's journal instead of resuming from it, so
-	// every cell runs again; cells whose results are in the disk cache
-	// load from it rather than simulating.
+	// Fresh truncates the plan's journal and runs every cell again
+	// instead of resuming the cells the disk tier already holds; those
+	// cells load from it rather than simulating.
 	Fresh bool
 }
 
@@ -260,8 +260,8 @@ type ExecReport struct {
 	Cells int
 	// Done counts cells this call completed (simulated or loaded).
 	Done int
-	// Resumed counts cells skipped because the journal already recorded
-	// them done (with the result still present in the disk cache).
+	// Resumed counts cells skipped because their results were already in
+	// the disk tier, whichever plan or process stored them.
 	Resumed int
 	// Retries counts transient per-cell attempt retries.
 	Retries int
@@ -276,23 +276,23 @@ type ExecReport struct {
 // longest-expected-job-first, crash-safely when the persistent run cache
 // is configured:
 //
-//   - Progress is journaled to an append-only JSONL file,
-//     <cachedir>/sweeps/<planhash>.jsonl, and the call holds an exclusive
-//     lock on it throughout (see lease.OpenJournal), so one call at a
-//     time executes a plan: a second call on the same plan, in this
-//     process or another, waits for the first to finish and then
-//     resumes. The kernel drops the lock when its holder dies.
-//   - A call resumes an interrupted sweep by replaying the journal and
-//     skipping cells whose results are already durable; Fresh discards
-//     the history.
+//   - The call holds an exclusive lock on the plan's append-only JSONL
+//     journal, <cachedir>/sweeps/<planhash>.jsonl, throughout (see
+//     lease.OpenJournal), so one call at a time executes a plan: a second
+//     call on the same plan, in this process or another, waits for the
+//     first to finish and then resumes. The kernel drops the lock when
+//     its holder dies. The journal logs each attempt's claim and outcome.
+//   - Under the lock, a call resumes every cell whose result the disk
+//     tier already holds, from an interrupted sweep of this plan or from
+//     any other, and runs the rest; Fresh runs every cell.
 //   - Transient cell failures retry with capped exponential backoff, up
 //     to maxAttempts attempts per cell in each call.
 //   - Cancellation is distinct from failure: when ctx is cancelled the
 //     call stops starting cells, interrupts in-flight simulations within
 //     one watchdog epoch, and returns ctx.Err() itself — not joined into
-//     cell errors — leaving the journal in a state a later call (or
-//     process) resumes from. A call still waiting for the lock returns
-//     ctx.Err() having run nothing.
+//     cell errors. Every cell it finished is already in the disk tier
+//     for a later call (or process) to resume. A call still waiting for
+//     the lock returns ctx.Err() having run nothing.
 //
 // Without a cache directory the same pool runs with no journal and
 // nothing durable. Results land in the run cache (and its persistent
@@ -307,11 +307,6 @@ func (p *SweepPlan) ExecuteOpts(ctx context.Context, opts ExecOptions) (*ExecRep
 	}
 	n := len(p.Cells)
 	rep := &ExecReport{Cells: n}
-	index := make(map[string]int, n)
-	for i, c := range p.Cells {
-		index[c.Key] = i
-	}
-	done := make([]bool, n)
 
 	var jnl *lease.Journal
 	if dir := RunCacheDir(); dir != "" && n > 0 {
@@ -329,19 +324,6 @@ func (p *SweepPlan) ExecuteOpts(ctx context.Context, opts ExecOptions) (*ExecRep
 		}
 		defer jnl.Close()
 		rep.JournalPath = jpath
-
-		// Resume: only done records whose results are still in the disk
-		// cache are trusted; an entry may have been evicted or removed.
-		recs, err := lease.ReadJournal(jpath)
-		if err != nil {
-			return nil, fmt.Errorf("profess: journal replay: %w", err)
-		}
-		for _, r := range recs {
-			if i, ok := index[r.Key]; ok && r.Status == lease.StatusDone && !done[i] && theDiskCache.has(r.Key) {
-				done[i] = true
-				rep.Resumed++
-			}
-		}
 	}
 
 	journal := func(i int, status lease.Status, attempt int, err error) {
@@ -393,7 +375,8 @@ func (p *SweepPlan) ExecuteOpts(ctx context.Context, opts ExecOptions) (*ExecRep
 			}
 			if ctx.Err() != nil {
 				// The failure is (or is masked by) cancellation: no
-				// terminal record, so resume re-runs the cell.
+				// terminal record, and with no stored result resume
+				// re-runs the cell.
 				return retries, ctx.Err()
 			}
 			journal(i, lease.StatusFailed, a, err)
@@ -402,10 +385,12 @@ func (p *SweepPlan) ExecuteOpts(ctx context.Context, opts ExecOptions) (*ExecRep
 	}
 
 	var todo []int
-	for i := range p.Cells {
-		if !done[i] {
-			todo = append(todo, i)
+	for i, c := range p.Cells {
+		if jnl != nil && !opts.Fresh && theDiskCache.has(c.Key) {
+			rep.Resumed++
+			continue
 		}
+		todo = append(todo, i)
 	}
 	workers := opts.Parallelism
 	if workers <= 0 {
@@ -413,7 +398,7 @@ func (p *SweepPlan) ExecuteOpts(ctx context.Context, opts ExecOptions) (*ExecRep
 	}
 	var (
 		wg   sync.WaitGroup
-		mu   sync.Mutex // guards rep, done and errs while workers run
+		mu   sync.Mutex // guards rep and errs while workers run
 		next atomic.Int64
 		errs = make([]error, n)
 	)
@@ -438,7 +423,6 @@ func (p *SweepPlan) ExecuteOpts(ctx context.Context, opts ExecOptions) (*ExecRep
 				rep.Retries += retries
 				switch {
 				case err == nil:
-					done[i] = true
 					rep.Done++
 				case ctx.Err() == nil:
 					errs[i] = err

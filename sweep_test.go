@@ -230,7 +230,7 @@ func TestPlanSweepUnplannable(t *testing.T) {
 			return err
 		}},
 		{Name: "scale16", Run: func() error {
-			_, err := RunScale16(SchemeProFess, nil, opts)
+			_, err := RunScale16(SchemeProFess, opts)
 			return err
 		}},
 		{Name: "sample", Run: func() error {
